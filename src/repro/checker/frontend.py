@@ -372,12 +372,17 @@ def _check_source(
             METRICS.inc("checker.queries_rejected")
             bag.error(f"query is not well-typed: {query} — {report.reason}", item.position)
 
-    # Step 4b: modes, when declared.
+    # Step 4b: modes, when declared.  Mode semantics need a declared type
+    # for every atom; an undeclared predicate was already reported by
+    # step 4, so such items are skipped here.
     if len(modes):
         mode_checker = ModeChecker(constraints, predicate_types, modes, engine=engine)
+        declared = predicate_types.has_type_for
         for clause, item in zip(module.program, clause_items):
             checkpoint(cancel)
             if any(_is_constraint_goal(goal) for goal in clause.body):
+                continue
+            if not all(map(declared, (clause.head, *clause.body))):
                 continue
             mode_report = mode_checker.check_clause(clause)
             for violation in mode_report.violations:
@@ -385,6 +390,8 @@ def _check_source(
         for query, item in zip(module.queries, query_items):
             if any(_is_constraint_goal(goal) for goal in query.goals):
                 continue  # constrained queries live outside the mode system
+            if not all(map(declared, query.goals)):
+                continue
             mode_report = mode_checker.check_query(query)
             for violation in mode_report.violations:
                 bag.error(f"mode violation: {violation}", item.position)

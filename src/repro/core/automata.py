@@ -45,27 +45,23 @@ closure explodes (possible even for guarded sets, e.g.
 ``t(A) >= f(t(g(A)))``) and types mentioning frozen constants (fresh per
 ``freeze``, they would churn the universe) are refused per root — the
 product construction then decides those pairs by the plain AND-OR walk,
-still memoized.  ``TLP_NO_AUTOMATA=1`` (or ``--no-automata`` on the
-CLIs) disables the store entirely, restoring the seed path bit-for-bit.
+still memoized.  ``SubtypeEngine(..., automata=False)`` (and the same
+argument on the matchers) skips the store for one engine: that template
+path is the reference the differential tests compare against.
 
-Sharing and persistence
------------------------
+Sharing
+-------
 
 :data:`AUTOMATA` is the process-wide store, keyed by
-``ConstraintSet.fingerprint()`` and version-fenced alongside the
-:class:`~repro.core.shared_memo.SharedSubtypeMemo` — every per-file
-engine of a batch/daemon/aserver worker attaches to the same compiled
-automaton.  The compiled structure (states, rules, expansions) pickles;
-the batch runner and the daemon spill it next to the persistent result
-cache so fresh *processes* start compiled too.  Per-term caches are
-deliberately not spilled: their keys are arbitrarily deep terms (pickle
-recursion) and they rebuild in one walk.
+``ConstraintSet.fingerprint()`` — every per-file engine of a
+batch/daemon/aserver worker attaches to the same compiled automaton.
+The compiled structure (states, rules, expansions) pickles; per-term
+caches are dropped on pickling: their keys are arbitrarily deep terms
+(pickle recursion) and they rebuild in one walk.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
 import time
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
@@ -82,7 +78,6 @@ __all__ = [
     "DEFAULT_MAX_STATES",
     "DEFAULT_ROOT_STATE_BUDGET",
     "DEFAULT_MAX_CACHE_ENTRIES",
-    "SPILL_FILENAME",
 ]
 
 #: Global NFA-state cap per automaton; hitting it marks the automaton
@@ -97,9 +92,6 @@ DEFAULT_ROOT_STATE_BUDGET = 256
 #: Soft cap for each per-term cache (node states, pair table, match
 #: tables, expansion cache); an overgrown cache restarts cold.
 DEFAULT_MAX_CACHE_ENTRIES = 1_000_000
-
-SPILL_FILENAME = "automata.pickle"
-SPILL_SCHEMA = "tlp-automata-spill/1"
 
 #: Node-state sentinel: the term contains a type constructor somewhere,
 #: so the membership run does not apply (product construction instead).
@@ -590,7 +582,7 @@ class TreeAutomaton:
         }
 
     def __getstate__(self) -> Dict[str, object]:
-        # Spill the compiled structure only.  The per-term caches key on
+        # Pickle the compiled structure only.  The per-term caches key on
         # arbitrarily deep terms (recursive pickling) and rebuild in one
         # walk; the lock is process-local.
         with self._lock:
@@ -634,51 +626,22 @@ class TreeAutomaton:
 class AutomataStore:
     """Process-wide compiled automata, keyed by constraint-set fingerprint.
 
-    Mirrors the :class:`~repro.core.shared_memo.SharedSubtypeMemo`
-    discipline: version fencing via :meth:`ensure_version`, an
-    ``enabled`` escape hatch (``TLP_NO_AUTOMATA`` / ``--no-automata``),
-    and rejection caching — a non-uniform or unguarded fingerprint is
+    Caches rejections too: a non-uniform or unguarded fingerprint is
     remembered as ``None`` so repeated attachment attempts stay O(1).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._automata: Dict[str, Optional[TreeAutomaton]] = {}
-        self._version: Optional[str] = None
-        self.enabled = os.environ.get("TLP_NO_AUTOMATA", "") == ""
         self.compiles = 0
         self.rejections = 0
         self.attachments = 0
-        self.invalidations = 0
-        self.spills = 0
-        self.loads = 0
-
-    def set_enabled(self, on: bool) -> bool:
-        """Enable/disable the store; returns the previous setting.
-
-        Disabling affects future :meth:`automaton_for` calls only —
-        engines already holding an automaton keep it (compilation is a
-        performance property, never a semantic one)."""
-        previous = self.enabled
-        self.enabled = bool(on)
-        return previous
-
-    def ensure_version(self, tag: str) -> None:
-        """Fence the store on ``tag``; a changed tag drops every automaton."""
-        with self._lock:
-            if self._version != tag:
-                if self._automata:
-                    self.invalidations += 1
-                self._automata.clear()
-                self._version = tag
 
     def automaton_for(self, constraints: ConstraintSet) -> Optional[TreeAutomaton]:
         """The compiled automaton for ``constraints``' declaration scope.
 
-        ``None`` when the store is disabled or the set is non-uniform /
-        unguarded (callers fall back to the template-expansion path)."""
-        if not self.enabled:
-            return None
+        ``None`` when the set is non-uniform or unguarded (callers fall
+        back to the template-expansion path)."""
         key = constraints.fingerprint()
         with self._lock:
             if key in self._automata:
@@ -719,9 +682,6 @@ class AutomataStore:
             self.compiles = 0
             self.rejections = 0
             self.attachments = 0
-            self.invalidations = 0
-            self.spills = 0
-            self.loads = 0
 
     def stats(self) -> Dict[str, int]:
         """A snapshot: scope count, aggregate table sizes, traffic."""
@@ -729,7 +689,6 @@ class AutomataStore:
             automata = [a for a in self._automata.values() if a is not None]
             per = [a.stats() for a in automata]
             return {
-                "enabled": int(self.enabled),
                 "scopes": len(automata),
                 "rejected_scopes": sum(
                     1 for a in self._automata.values() if a is None
@@ -748,75 +707,7 @@ class AutomataStore:
                 "compiles": self.compiles,
                 "rejections": self.rejections,
                 "attachments": self.attachments,
-                "invalidations": self.invalidations,
-                "spills": self.spills,
-                "loads": self.loads,
             }
-
-    # -- persistence alongside the result cache -------------------------------
-
-    def save_spill(self, directory: "os.PathLike[str] | str") -> Optional[str]:
-        """Pickle every compiled automaton under ``directory``.
-
-        Best-effort and atomic (tmp file + rename): a failed spill never
-        corrupts an existing one and never fails the surrounding batch.
-        Returns the spill path, or ``None`` when nothing was written."""
-        if not self.enabled:
-            return None
-        with self._lock:
-            compiled = {
-                key: automaton
-                for key, automaton in self._automata.items()
-                if automaton is not None
-            }
-            version = self._version
-        if not compiled:
-            return None
-        path = os.path.join(str(directory), SPILL_FILENAME)
-        tmp = f"{path}.tmp{os.getpid()}"
-        payload = {"schema": SPILL_SCHEMA, "version": version, "automata": compiled}
-        try:
-            os.makedirs(str(directory), exist_ok=True)
-            with open(tmp, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-        self.spills += 1
-        return path
-
-    def load_spill(self, directory: "os.PathLike[str] | str") -> int:
-        """Adopt automata spilled by an earlier process; returns the count.
-
-        The spill must carry the store's current version tag (callers
-        :meth:`ensure_version` first) — a stale spill is ignored, exactly
-        as the result cache ignores entries from an older checker.
-        Corrupt files are ignored too: the spill is a warm-start, never a
-        correctness dependency."""
-        if not self.enabled:
-            return 0
-        path = os.path.join(str(directory), SPILL_FILENAME)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, Exception):  # noqa: BLE001 — corrupt spill = cold start
-            return 0
-        if not isinstance(payload, dict) or payload.get("schema") != SPILL_SCHEMA:
-            return 0
-        with self._lock:
-            if payload.get("version") != self._version:
-                return 0
-            loaded = 0
-            for key, automaton in payload.get("automata", {}).items():
-                if key not in self._automata and isinstance(automaton, TreeAutomaton):
-                    self._automata[key] = automaton
-                    loaded += 1
-            self.loads += loaded
-        return loaded
 
 
 #: The process-wide store used by the engine, matchers, and services.

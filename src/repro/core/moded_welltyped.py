@@ -146,6 +146,10 @@ class ModedWellTypedChecker:
             )
 
         atoms: List[Struct] = ([head] if head is not None else []) + list(body)
+        # No directional reading can type an undeclared predicate: report
+        # exactly what the strict check found.
+        if not all(map(self.predicate_types.has_type_for, atoms)):
+            return rejected(strict_report.reason)
         # Shared variables demand modes on every atom they touch.
         variable_atoms: Dict[Var, List[Struct]] = {}
         for atom in atoms:

@@ -31,15 +31,13 @@ Keying and safety
   table that outgrew the cap is dropped and restarted cold (counted in
   ``evictions``), bounding daemon memory.
 
-Escape hatch: ``TLP_NO_SHARED_MEMO=1`` in the environment (or the
-``--no-shared-memo`` flag on ``tlp-check``/``tlp-batch``) disables
-sharing — ``table_for`` returns ``None`` and every engine keeps its own
-cold memo, which is the seed behaviour.
+An engine built with ``shared_memo=None`` (the ``SubtypeEngine``
+default) keeps its own cold memo; the differential tests compare the
+two.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -64,21 +62,9 @@ class SharedSubtypeMemo:
         self._tables: Dict[str, Dict[Tuple[Term, Term], bool]] = {}
         self._version: Optional[str] = None
         self.max_entries_per_scope = max_entries_per_scope
-        self.enabled = os.environ.get("TLP_NO_SHARED_MEMO", "") == ""
         self.attachments = 0
         self.evictions = 0
         self.invalidations = 0
-
-    def set_enabled(self, on: bool) -> bool:
-        """Enable/disable sharing; returns the previous setting.
-
-        Disabling affects future :meth:`table_for` calls only — engines
-        already holding a table keep it (their entries stay correct;
-        sharing is a performance property, not a semantic one).
-        """
-        previous = self.enabled
-        self.enabled = bool(on)
-        return previous
 
     def ensure_version(self, tag: str) -> None:
         """Fence the store on ``tag``; a changed tag drops every table.
@@ -86,10 +72,6 @@ class SharedSubtypeMemo:
         The batch runner passes the result cache's ``CHECKER_VERSION``
         combined with whatever rulesets feed verdicts, mirroring the
         persistent cache's invalidation discipline.
-
-        The compiled-automata store rides the same fence: every caller
-        that versions the memo implicitly versions the automata, so a
-        checker upgrade can never serve pre-upgrade compiled tables.
         """
         with self._lock:
             if self._version != tag:
@@ -97,21 +79,15 @@ class SharedSubtypeMemo:
                     self.invalidations += 1
                 self._tables.clear()
                 self._version = tag
-        from .automata import AUTOMATA
-
-        AUTOMATA.ensure_version(tag)
 
     def table_for(
         self, constraints: ConstraintSet
-    ) -> Optional[Dict[Tuple[Term, Term], bool]]:
+    ) -> Dict[Tuple[Term, Term], bool]:
         """The shared memo table for ``constraints``' declaration scope.
 
-        Returns ``None`` when sharing is disabled (the engine then keeps
-        its own private memo).  The table is returned by reference — the
-        engine plugs it in as its ``_memo`` and reads/writes it directly.
+        The table is returned by reference — the engine plugs it in as
+        its ``_memo`` and reads/writes it directly.
         """
-        if not self.enabled:
-            return None
         key = constraints.fingerprint()
         with self._lock:
             table = self._tables.get(key)
@@ -136,7 +112,6 @@ class SharedSubtypeMemo:
         """A snapshot: scope count, total entries, attach/evict traffic."""
         with self._lock:
             return {
-                "enabled": int(self.enabled),
                 "scopes": len(self._tables),
                 "entries": sum(len(t) for t in self._tables.values()),
                 "attachments": self.attachments,

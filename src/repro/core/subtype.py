@@ -34,9 +34,10 @@ Ground goals additionally ride the compiled tree automaton of
 and guarded; the process-wide ``AUTOMATA`` store compiles once per
 fingerprint): membership and ground-subtype queries become table walks
 over interned node ids, with this module's AND-OR evaluation as the
-automatic fallback (``--no-automata`` / non-uniform sets / refused
-roots).  Verdicts are identical by construction and pinned by the
-differential suite.
+automatic fallback (non-uniform sets, refused roots).  An engine built
+with ``automata=False`` never consults the store: that template path is
+the reference the differential tests compare against.  Verdicts are
+identical by construction and pinned by the differential suite.
 
 Observability: every public ``holds`` query is mirrored into
 ``repro.obs`` when telemetry is enabled — a ``subtype.goals`` counter,
@@ -79,7 +80,7 @@ class SubtypeStats:
     #: ground goals answered by the compiled tree automaton.
     automaton_hits: int = 0
     #: ground goals that wanted the automaton but fell back to the
-    #: AND-OR walk (store disabled mid-flight, non-uniform set, ...).
+    #: AND-OR walk (non-uniform set, refused root, ...).
     automaton_fallbacks: int = 0
 
 
@@ -109,18 +110,16 @@ class SubtypeEngine:
         #: frontend and the batch service pass ``shared_memo=SHARED_MEMO``.
         self._memo_shared = False
         if shared_memo is not None and memoize:
-            table = shared_memo.table_for(constraints)
-            if table is not None:
-                self._memo = table
-                self._memo_shared = True
+            self._memo = shared_memo.table_for(constraints)
+            self._memo_shared = True
         self._bindings: Dict[Var, Term] = {}
         self._trail: List[Var] = []
         #: Compiled tree automaton for ground goals (None for non-uniform
-        #: or unguarded sets, or when the store/flag disables it).  The
+        #: or unguarded sets, or when ``automata=False``).  The
         #: ``_automaton_requested`` flag distinguishes "opted out" from
         #: "wanted one but none exists" so the fallback counter is exact.
         self._automaton = AUTOMATA.automaton_for(constraints) if automata else None
-        self._automaton_requested = automata and AUTOMATA.enabled
+        self._automaton_requested = automata
 
     # -- public queries ------------------------------------------------------
 

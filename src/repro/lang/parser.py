@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the paper's concrete syntax.
+"""Parser for the paper's concrete syntax; terms parse on an explicit stack.
 
 Grammar (items end with ``.``):
 
@@ -55,6 +55,7 @@ from .ast import (
 from .lexer import Token, TokenKind, tokenize
 
 __all__ = [
+    "MAX_TERM_DEPTH",
     "ParseError",
     "parse_file",
     "parse_term",
@@ -63,6 +64,16 @@ __all__ = [
     "parse_clause",
     "parse_query",
 ]
+
+
+#: Deepest nesting of applications and parentheses a term may use.  The
+#: checker and the linter recurse over terms (``repro.core.recursion``),
+#: and CPython's C stack bounds how deep that can go; a deeper term is a
+#: parse error at the '(' that crosses the ceiling.
+MAX_TERM_DEPTH = 10_000
+
+#: One open level of :meth:`_Parser._term`: ``(functor, args, left)``.
+_Frame = Tuple[Optional[str], List[Term], Optional[Term]]
 
 
 class ParseError(Exception):
@@ -122,40 +133,77 @@ class _Parser:
     # -- terms -------------------------------------------------------------
 
     def union(self) -> Term:
-        term = self.primary()
-        while self.accept(TokenKind.PLUS):
-            right = self.primary()
-            term = Struct(UNION_TYPE, (term, right))
-        return term
+        return self._term(union=True)
 
-    def primary(self) -> Term:
-        token = self.current
-        if token.kind == TokenKind.VARIABLE:
-            self.advance()
-            return Var(token.text)
-        if token.kind == TokenKind.NAME:
-            return self.application()
-        if self.accept(TokenKind.LPAREN):
-            inner = self.union()
-            self.expect(TokenKind.RPAREN, "')'")
-            return inner
-        raise ParseError("expected a term", token)
+    def _term(self, union: bool) -> Term:
+        """``union``, or with ``union=False`` the one ``primary`` at the
+        current token, which the caller has checked is a name.
 
-    def application(self) -> Struct:
-        name = self.expect(TokenKind.NAME, "a name").text
-        if not self.accept(TokenKind.LPAREN):
-            return Struct(name, ())
-        args: List[Term] = [self.union()]
-        while self.accept(TokenKind.COMMA):
-            args.append(self.union())
-        self.expect(TokenKind.RPAREN, "')'")
-        return Struct(name, tuple(args))
+        Nested applications and parentheses push a frame on an explicit
+        stack instead of recursing, so the nesting a source file may use
+        is :data:`MAX_TERM_DEPTH`, not the interpreter's recursion limit.
+        In a frame ``(functor, args, left)``, ``functor`` is ``None`` for
+        a parenthesised union, and ``left`` is the enclosing level's
+        ``+`` operand waiting for this level's result.
+        """
+        stack: List[_Frame] = []
+        left: Optional[Term] = None
+        while True:
+            # One primary at the current level, or open a new level.
+            token = self.current
+            if token.kind == TokenKind.VARIABLE:
+                self.advance()
+                term: Term = Var(token.text)
+            elif token.kind == TokenKind.NAME:
+                self.advance()
+                if self.check(TokenKind.LPAREN):
+                    self._open(stack, (token.text, [], left))
+                    left = None
+                    continue
+                term = Struct(token.text, ())
+            elif token.kind == TokenKind.LPAREN:
+                self._open(stack, (None, [], left))
+                left = None
+                continue
+            else:
+                raise ParseError("expected a term", token)
+            # Close levels until one continues with '+' or ','.
+            while True:
+                if left is not None:
+                    term = Struct(UNION_TYPE, (left, term))
+                if (union or stack) and self.accept(TokenKind.PLUS):
+                    left = term
+                    break
+                if not stack:
+                    return term
+                functor, args, left = stack.pop()
+                if functor is not None:
+                    args.append(term)
+                    if self.accept(TokenKind.COMMA):
+                        stack.append((functor, args, left))
+                        left = None
+                        break
+                    self.expect(TokenKind.RPAREN, "')'")
+                    term = Struct(functor, tuple(args))
+                else:
+                    self.expect(TokenKind.RPAREN, "')'")
+
+    def _open(self, stack: List[_Frame], frame: _Frame) -> None:
+        """Consume a '(' and push ``frame``, enforcing the depth ceiling."""
+        if len(stack) >= MAX_TERM_DEPTH:
+            raise ParseError(
+                f"term nested deeper than {MAX_TERM_DEPTH} levels", self.current
+            )
+        self.advance()
+        stack.append(frame)
 
     def atom(self) -> Struct:
         token = self.current
         if token.kind != TokenKind.NAME:
             raise ParseError("expected an atom (predicate application)", token)
-        return self.application()
+        term = self._term(union=False)
+        assert isinstance(term, Struct)
+        return term
 
     def atoms(self) -> Tuple[Struct, ...]:
         out = [self.atom()]

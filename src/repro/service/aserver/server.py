@@ -677,32 +677,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PORT",
         help="serve GET /metrics and /health on 127.0.0.1:PORT (0 = ephemeral)",
     )
-    parser.add_argument(
-        "--no-automata",
-        action="store_true",
-        help=(
-            "disable the compiled tree automata for ground subtype/match "
-            "queries (seed behaviour)"
-        ),
-    )
     arguments = parser.parse_args(argv)
-
-    from ...core.automata import AUTOMATA
 
     was_enabled = METRICS.enabled
     if arguments.stats:
         obs.reset()
         METRICS.enabled = True
-    automata_before = (
-        AUTOMATA.set_enabled(False) if arguments.no_automata else None
-    )
     try:
         return asyncio.run(_amain(arguments))
     except KeyboardInterrupt:
         return 0
     finally:
-        if automata_before is not None:
-            AUTOMATA.set_enabled(automata_before)
         METRICS.enabled = was_enabled
 
 

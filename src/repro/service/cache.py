@@ -65,9 +65,8 @@ __all__ = ["CHECKER_VERSION", "CachedResult", "ResultCache"]
 #: "4": the §7 inline ``PRED p(OUT nat).`` form changes frontend
 #: verdicts, and the TLP5xx mode rules change lint findings — pre-mode
 #: indexes must not replay.
-#: "5": ground subtype/match queries run on compiled tree automata and
-#: their spilled tables live alongside the cache — pre-automata indexes,
-#: memo tables, and spills must not replay.
+#: "5": ground subtype/match queries run on compiled tree automata —
+#: pre-automata indexes and memo tables must not replay.
 #: "6": built-in constraint predicates get declared signatures in the
 #: frontend and the TLP6xx polymorphic-constraint rules change lint
 #: findings — pre-typed-CLP indexes must not replay.

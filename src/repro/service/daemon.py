@@ -78,7 +78,7 @@ from ..checker.cancel import CancelToken, CheckCancelled
 from ..checker.diagnostics import Severity
 from ..checker.frontend import CheckedModule, check_text
 from ..obs import METRICS, TRACER, CacheProbeEvent
-from .cache import CHECKER_VERSION, CachedResult, ResultCache
+from .cache import CachedResult, ResultCache
 from .project import EMPTY_DECLS_DIGEST, fingerprint
 
 __all__ = ["CheckService", "serve", "start_metrics_server", "main"]
@@ -97,13 +97,6 @@ class CheckService:
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        if self.cache is not None:
-            # Warm-start the compiled-automata store from a spill left by
-            # an earlier process (version-fenced like the result cache).
-            from ..core.automata import AUTOMATA
-
-            AUTOMATA.ensure_version(CHECKER_VERSION)
-            AUTOMATA.load_spill(self.cache.cache_dir)
         self._hot: "OrderedDict[str, Tuple[str, CheckedModule]]" = OrderedDict()
         #: path → ((st_mtime_ns, st_size), digest) of the last read, so a
         #: repeat ``check`` on an *unchanged* file skips the re-read while
@@ -558,7 +551,6 @@ class CheckService:
         from ..core.automata import AUTOMATA
 
         automata = AUTOMATA.stats()
-        gauges["subtype.automaton.enabled"] = automata["enabled"]
         gauges["subtype.automaton.scopes"] = automata["scopes"]
         gauges["subtype.automaton.states"] = automata["states"]
         gauges["subtype.automaton.transitions"] = automata["transitions"]
@@ -646,9 +638,6 @@ class CheckService:
         with self._lock:
             if self.cache is not None:
                 self.cache.save()
-                from ..core.automata import AUTOMATA
-
-                AUTOMATA.save_spill(self.cache.cache_dir)
         obs.TRACER.close_sinks()
 
 
@@ -760,25 +749,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             "127.0.0.1:PORT alongside the stdin protocol (0 = ephemeral)"
         ),
     )
-    parser.add_argument(
-        "--no-automata",
-        action="store_true",
-        help=(
-            "disable the compiled tree automata for ground subtype/match "
-            "queries (seed behaviour)"
-        ),
-    )
     arguments = parser.parse_args(argv)
-
-    from ..core.automata import AUTOMATA
 
     was_enabled = METRICS.enabled
     if arguments.stats:
         obs.reset()
         METRICS.enabled = True
-    automata_before = (
-        AUTOMATA.set_enabled(False) if arguments.no_automata else None
-    )
     service = CheckService(cache_dir=arguments.cache_dir)
 
     def _on_sigterm(signum: int, frame: Any) -> None:
@@ -820,8 +796,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # state survives orderly restarts (shutdown op, SIGTERM) *and*
         # mid-request deaths.
         service.close()
-        if automata_before is not None:
-            AUTOMATA.set_enabled(automata_before)
         METRICS.enabled = was_enabled
 
 

@@ -274,14 +274,6 @@ def run_batch(
     # (Process-pool workers fork their own copy of the memo; sharing pays
     # off inline, under thread pools, and across daemon requests.)
     SHARED_MEMO.ensure_version(CHECKER_VERSION)
-    # Warm-start the compiled-automata store from a spill in the cache
-    # directory (written below; version-fenced through ensure_version
-    # above) so a fresh batch process starts with every declaration
-    # scope already compiled.
-    from ..core.automata import AUTOMATA
-
-    if cache is not None:
-        AUTOMATA.load_spill(cache.cache_dir)
     start = time.perf_counter()
     total = len(project.files)
     done = 0
@@ -395,7 +387,6 @@ def run_batch(
                 METRICS.merge_snapshot(snapshot)
         if cache is not None:
             cache.save()
-            AUTOMATA.save_spill(cache.cache_dir)
     record_done = time.perf_counter()
 
     report.results = [result for result in placeholders if result is not None]

@@ -83,14 +83,6 @@ def test_nonuniform_set_rejected_and_cached(store):
     assert store.stats()["rejected_scopes"] == 1
 
 
-def test_disabled_store_returns_none(store):
-    previous = store.set_enabled(False)
-    assert previous is True
-    assert store.automaton_for(paper_universe()) is None
-    store.set_enabled(True)
-    assert store.automaton_for(paper_universe()) is not None
-
-
 def test_holds_matches_template_engine_on_paper_cases(store):
     cset = paper_universe()
     automaton = store.automaton_for(cset)
@@ -253,29 +245,36 @@ def test_uniform_engine_counts_one_hit_per_ground_root_query():
 
 def test_nonuniform_engine_counts_exact_fallbacks():
     engine = SubtypeEngine(ids_nonuniform(), validate=False)
-    assert engine._automaton is None and engine._automaton_requested is AUTOMATA.enabled
+    assert engine._automaton is None and engine._automaton_requested is True
     assert engine.holds(T("nat"), T("0")) is True
     assert engine.stats.automaton_hits == 0
     assert engine.stats.automaton_fallbacks == 1
 
 
 def test_opted_out_engine_has_zero_automaton_counters():
+    # The reference template path: no automaton attached, none wanted, so
+    # neither the hit nor the fallback counter moves.
     engine = SubtypeEngine(paper_universe(), automata=False)
+    assert engine._automaton is None and engine._automaton_requested is False
     engine.holds(T("nat"), deep_nat(5))
     assert engine.stats.automaton_hits == 0
     assert engine.stats.automaton_fallbacks == 0
 
 
 def test_store_disabled_engine_matches_seed_counters():
-    previous = AUTOMATA.set_enabled(False)
-    try:
-        engine = SubtypeEngine(paper_universe())
+    # With the automaton path switched off the engine behaves as the
+    # pre-automata engine did: the process-wide store is never consulted
+    # (no compile, rejection or attachment), and neither a uniform nor a
+    # non-uniform constraint set moves the hit or fallback counters.
+    traffic = lambda: (AUTOMATA.compiles, AUTOMATA.rejections, AUTOMATA.attachments)
+    before = traffic()
+    for cset, validate in ((paper_universe(), True), (ids_nonuniform(), False)):
+        engine = SubtypeEngine(cset, validate=validate, automata=False)
         assert engine._automaton is None and engine._automaton_requested is False
-        engine.holds(T("nat"), deep_nat(5))
+        assert engine.holds(T("nat"), T("0")) is True
         assert engine.stats.automaton_hits == 0
         assert engine.stats.automaton_fallbacks == 0
-    finally:
-        AUTOMATA.set_enabled(previous)
+    assert traffic() == before
 
 
 def test_engine_verdicts_identical_with_and_without_automata():
@@ -303,45 +302,3 @@ def test_pickle_round_trip_preserves_verdicts(store):
     for sup_text, sub_text in PAPER_CASES:
         sup, sub = T(sup_text), T(sub_text)
         assert restored.holds(sup, sub) == automaton.holds(sup, sub)
-
-
-def test_spill_save_and_load_round_trip(tmp_path):
-    writer = AutomataStore()
-    writer.ensure_version("test-v1")
-    assert writer.automaton_for(paper_universe()) is not None
-    path = writer.save_spill(tmp_path)
-    assert path is not None and path.endswith("automata.pickle")
-
-    reader = AutomataStore()
-    reader.ensure_version("test-v1")
-    assert reader.load_spill(tmp_path) == 1
-    automaton = reader.automaton_for(paper_universe())
-    assert reader.compiles == 0  # adopted from the spill, not recompiled
-    assert automaton.holds(T("nat"), deep_nat(16)) is True
-
-
-def test_spill_with_stale_version_is_ignored(tmp_path):
-    writer = AutomataStore()
-    writer.ensure_version("old")
-    writer.automaton_for(paper_universe())
-    writer.save_spill(tmp_path)
-
-    reader = AutomataStore()
-    reader.ensure_version("new")
-    assert reader.load_spill(tmp_path) == 0
-
-
-def test_corrupt_spill_is_a_cold_start(tmp_path):
-    (tmp_path / "automata.pickle").write_bytes(b"not a pickle")
-    reader = AutomataStore()
-    reader.ensure_version("v")
-    assert reader.load_spill(tmp_path) == 0
-
-
-def test_ensure_version_change_drops_automata(store):
-    store.ensure_version("a")
-    store.automaton_for(paper_universe())
-    assert store.stats()["scopes"] == 1
-    store.ensure_version("b")
-    assert store.stats()["scopes"] == 0
-    assert store.invalidations == 1

@@ -1,30 +1,14 @@
-"""``--no-automata`` parity across the four entry points, plus the
-automata observability surface (``--stats`` lines, daemon gauges and
-``health``)."""
+"""The automata observability surface: the ``--stats`` "tree automata:"
+line, the daemon ``health`` automata block, and the runtime gauges — plus
+the one engine configuration: no entry point takes an engine flag."""
 
-import io
-import json
-import sys
+import importlib
+
+import pytest
 
 from repro import obs
-from repro.core.automata import AUTOMATA
 from repro.service.daemon import CheckService
 from repro.workloads import APPEND
-
-
-def test_tlp_check_accepts_and_restores_flag(tmp_path, capsys):
-    from repro.checker.cli import main
-
-    path = tmp_path / "append.tlp"
-    path.write_text(APPEND)
-    before = AUTOMATA.enabled
-    assert main([str(path), "--no-automata"]) == 0
-    assert AUTOMATA.enabled == before
-    with_flag = capsys.readouterr().out
-    assert main([str(path)]) == 0
-    assert AUTOMATA.enabled == before
-    # Verdict and report are byte-identical either way.
-    assert capsys.readouterr().out == with_flag
 
 
 def test_tlp_check_stats_reports_automata_state(tmp_path, capsys):
@@ -32,79 +16,14 @@ def test_tlp_check_stats_reports_automata_state(tmp_path, capsys):
 
     path = tmp_path / "append.tlp"
     path.write_text(APPEND)
-    assert main([str(path), "--stats", "--no-automata"]) == 0
-    assert "tree automata: disabled (--no-automata)" in capsys.readouterr().out
     assert main([str(path), "--stats"]) == 0
     out = capsys.readouterr().out
     assert "tree automata:" in out and "compiled scope(s)" in out
 
 
-def test_tlp_batch_accepts_and_restores_flag(corpus_dir, capsys):
-    import re
-
-    from repro.service.batch import main
-
-    def normalised():
-        # Wall-clock figures differ run to run; everything else must not.
-        return re.sub(r"\d+(\.\d+)?m?s", "<t>", capsys.readouterr().out)
-
-    before = AUTOMATA.enabled
-    assert main([str(corpus_dir), "--no-cache", "--no-automata"]) == 0
-    assert AUTOMATA.enabled == before
-    with_flag = normalised()
-    assert main([str(corpus_dir), "--no-cache"]) == 0
-    assert normalised() == with_flag
-
-
-def test_tlp_serve_flag_disables_store_for_the_session(monkeypatch, capsys):
-    from repro.service.daemon import main
-
-    request = json.dumps({"op": "health"}) + "\n"
-    monkeypatch.setattr(sys, "stdin", io.StringIO(request))
-    before = AUTOMATA.enabled
-    assert main(["--no-automata"]) == 0
-    assert AUTOMATA.enabled == before
-    response = json.loads(capsys.readouterr().out.strip())
-    assert response["health"]["automata"]["enabled"] == 0
-
-
-def test_tlp_aserve_flag_disables_store_for_the_session(monkeypatch):
-    from repro.service.aserver import server as aserver
-
-    observed = {}
-
-    def fake_run(coroutine):
-        coroutine.close()
-        observed["enabled"] = AUTOMATA.enabled
-        return 0
-
-    monkeypatch.setattr(aserver.asyncio, "run", fake_run)
-    before = AUTOMATA.enabled
-    assert aserver.main(["--port", "0", "--no-automata"]) == 0
-    assert observed["enabled"] is False
-    assert AUTOMATA.enabled == before
-
-
-def test_tlp_no_automata_env_var_disables_fresh_stores(monkeypatch):
-    from repro.core.automata import AutomataStore
-
-    monkeypatch.setenv("TLP_NO_AUTOMATA", "1")
-    assert AutomataStore().enabled is False
-    monkeypatch.delenv("TLP_NO_AUTOMATA")
-    assert AutomataStore().enabled is True
-
-
-# -- observability -------------------------------------------------------------
-
-
 def test_runtime_stats_lines_cover_automata():
     lines = obs.runtime_stats_lines()
     assert any(line.startswith("tree automata:") for line in lines)
-    previous = AUTOMATA.set_enabled(False)
-    try:
-        assert "tree automata: disabled (--no-automata)" in obs.runtime_stats_lines()
-    finally:
-        AUTOMATA.set_enabled(previous)
 
 
 def test_publish_runtime_gauges_exports_automaton_gauges():
@@ -116,7 +35,6 @@ def test_publish_runtime_gauges_exports_automaton_gauges():
         SubtypeEngine(paper_universe())  # ensure at least one scope compiled
         obs.publish_runtime_gauges()
         exposition = obs.prometheus_text()
-        assert "tlp_subtype_automaton_enabled" in exposition
         assert "tlp_subtype_automaton_states" in exposition
     finally:
         obs.METRICS.disable()
@@ -128,17 +46,35 @@ def test_daemon_health_embeds_automata_stats():
     health = service.handle({"op": "health"})["health"]
     automata = health["automata"]
     assert set(automata) >= {
-        "enabled",
         "scopes",
         "states",
         "transitions",
         "cache_entries",
         "attachments",
     }
-    assert automata["enabled"] == int(AUTOMATA.enabled)
+    assert automata["scopes"] >= 1
+    assert "enabled" not in automata
 
 
 def test_daemon_runtime_gauges_include_automata():
     gauges = CheckService()._runtime_gauges()
-    assert "subtype.automaton.enabled" in gauges
     assert "subtype.automaton.scopes" in gauges
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.checker.cli",
+        "repro.service.batch",
+        "repro.analysis.cli",
+        "repro.service.daemon",
+        "repro.service.aserver.server",
+    ],
+)
+@pytest.mark.parametrize("flag", ["--no-intern", "--no-shared-memo", "--no-automata"])
+def test_no_entry_point_takes_an_engine_flag(module, flag, capsys):
+    main = importlib.import_module(module).main
+    with pytest.raises(SystemExit) as exit_info:
+        main([flag, "unread.tlp"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

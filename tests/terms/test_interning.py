@@ -9,6 +9,7 @@ that down on the random workloads the benchmark generators emit.
 
 import contextlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.terms.term import (
     interning_enabled,
     set_interning,
 )
-from repro.workloads import deep_nat, nat_list, paper_universe
+from repro.workloads import APPEND, deep_nat, nat_list, paper_universe
 from repro.workloads.generators import (
     random_guarded_constraint_set,
     random_subtype_pair,
@@ -188,3 +189,30 @@ def test_paper_universe_membership_agrees():
         engine = SubtypeEngine(paper_universe())
         plain_towers = [deep_nat(depth) for depth in (0, 1, 7, 40)]
         assert [engine.contains(nat, t) for t in plain_towers] == expected
+
+
+POLYTYPES_CORPUS = (
+    Path(__file__).resolve().parents[2] / "examples/corpus/lint/polytypes.tlp"
+)
+
+
+@pytest.mark.parametrize("source", ["append", "polytypes"])
+def test_lint_pipeline_output_identical_without_interning(tmp_path, capsys, source):
+    # Whole pipeline: parse, check, and every lint family (the TLP6xx
+    # solver leans on the subtype engine the hardest) must report the
+    # same bytes whether or not terms are hash-consed.
+    from repro.analysis.cli import main
+
+    if source == "append":
+        path = tmp_path / "append.tlp"
+        path.write_text(APPEND)
+    else:
+        path = POLYTYPES_CORPUS
+    with interning(True):
+        baseline_code = main([str(path)])
+    baseline = capsys.readouterr().out
+    if source == "polytypes":
+        assert "TLP601" in baseline
+    with interning(False):
+        assert main([str(path)]) == baseline_code
+    assert capsys.readouterr().out == baseline
