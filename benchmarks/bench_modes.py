@@ -10,8 +10,9 @@ reduction dynamically.  Both must stay cheap enough to leave on:
   *directional* fallback (the expensive path: commitment solving runs on
   every shared-variable clause), reported per clause;
 * **M2/M3 typed-run overhead** — the same ``app/3`` query solved by the
-  plain SLD engine and by :class:`TypedRunner`, so the per-resolvent
-  re-check cost is the difference between the two rows.
+  plain SLD engine and by :class:`TypedInterpreter` in its
+  ``--typed-run`` configuration (abort at the first violation), so the
+  per-resolvent re-check cost is the difference between the two rows.
 
 Run standalone::
 
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.checker import check_text
 from repro.lp.database import Database
 from repro.lp.resolution import SLDEngine
-from repro.core.typed_run import TypedRunner
+from repro.core import TypedInterpreter
 from repro.workloads import APPEND
 
 Row = Tuple[str, str]
@@ -138,17 +139,22 @@ def modes_measurements(
         )
 
         def run_typed():
-            runner = TypedRunner(appended.checker, appended.program)
-            return runner.run(query)
+            interpreter = TypedInterpreter(
+                appended.checker, appended.program, check_program=False
+            )
+            return interpreter.run(
+                query, check_query=False, check_answers=False, abort_on_violation=True
+            )
 
         result, typed_dt = _timed(run_typed)
-        assert result.ok and len(result.answers) == 1
-        assert result.steps == length + 1  # one resolvent per cons + the base fact
+        steps = result.resolvents_checked
+        assert result.consistent and len(result.answers) == 1
+        assert steps == length + 1  # one resolvent per cons + the base fact
         overhead = typed_dt / plain_dt if plain_dt else float("inf")
         rows.append(
             (
                 f"M3 --typed-run, app of {length}-element list "
-                f"({result.steps} resolvents re-checked)",
+                f"({steps} resolvents re-checked)",
                 f"{fmt(typed_dt)}  ({overhead:.1f}x plain)",
             )
         )

@@ -27,7 +27,7 @@ Code space:
 * ``TLP5xx`` — declared-mode analyses (well-modedness and ill-moded
   call sites under ``MODE`` declarations, ``repro.analysis.modes``);
 * ``TLP590`` — reserved: dynamic subject-reduction violations reported
-  by ``--typed-run`` (``repro.core.typed_run``), outside the static
+  by ``--typed-run`` (``repro.core.typed_resolution``), outside the static
   rule registry on purpose;
 * ``TLP6xx`` — typed-CLP analyses (polymorphic subtype-constraint
   solving and built-in constraint signatures,

@@ -33,7 +33,7 @@ from typing import List, Optional
 
 from .. import obs
 from ..core.subtype import SubtypeEngine
-from ..core.typed_resolution import TypedInterpreter
+from ..core.typed_resolution import TYPED_RUN_CODE, TypedInterpreter
 from ..lp.constrained import ConstrainedInterpreter
 from ..lp.database import Database
 from ..terms.freeze import freeze_with_mapping
@@ -214,32 +214,34 @@ def _run_queries(module, max_answers: int, depth_limit: int) -> int:
 
 
 def _typed_run_queries(path: str, module, arguments) -> int:
-    """Execute queries via :class:`~repro.core.typed_run.TypedRunner`,
-    asserting subject reduction per step.  Returns the number of aborted
-    queries; each violation prints as a span-carrying TLP590 diagnostic
-    anchored at the query's source position."""
-    from ..core.typed_run import TYPED_RUN_CODE, TypedRunner
+    """Execute queries, aborting each at its first ill-typed resolvent.
+    Returns the number of aborted queries; each violation prints as a
+    span-carrying TLP590 diagnostic anchored at the query's source
+    position."""
     from .diagnostics import Diagnostic, Severity
 
     checker = module.moded_checker or module.checker
     if checker is None:
         return 0
-    runner = TypedRunner(checker, module.program)
+    interpreter = TypedInterpreter(checker, module.program, check_program=False)
     aborted = 0
     for index, query in enumerate(module.queries):
         if _has_constraint_goal(query.goals):
             continue  # ':' queries live in the constrained execution model
         print(f"?- {', '.join(pretty(g) for g in query.goals)}.")
-        result = runner.run(
+        result = interpreter.run(
             query,
             max_answers=arguments.max_answers,
             depth_limit=arguments.depth_limit,
+            check_answers=False,
+            check_query=False,
+            abort_on_violation=True,
         )
         if not result.answers:
             print("   no.")
         for answer in result.answers:
             _print_answer(answer)
-        if result.violation is not None:
+        if result.violations:
             aborted += 1
             position = (
                 module.query_positions[index]
@@ -248,14 +250,14 @@ def _typed_run_queries(path: str, module, arguments) -> int:
             )
             diagnostic = Diagnostic(
                 Severity.ERROR,
-                result.violation.render(),
+                result.violations[0].render(),
                 position,
                 code=TYPED_RUN_CODE,
             )
             print(f"{path}:{diagnostic}")
         else:
             print(
-                f"   subject reduction held across {result.steps} "
+                f"   subject reduction held across {result.resolvents_checked} "
                 f"resolvent(s)."
             )
     return aborted

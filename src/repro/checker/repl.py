@@ -27,7 +27,6 @@ import sys
 from typing import Iterable, List, Optional
 
 from .. import obs
-from ..core.subtype import SubtypeEngine
 from ..core.typed_resolution import TypedInterpreter
 from ..lang.lexer import LexError
 from ..lang.parser import ParseError, parse_query, parse_term
@@ -73,7 +72,9 @@ class Repl:
         self.source_text = source_text
         checker = module.moded_checker or module.checker
         self.interpreter = TypedInterpreter(checker, module.program, check_program=False)
-        self.engine = SubtypeEngine(module.constraints)
+        # The module's own engine (``module.ok`` guarantees the frontend
+        # built it), so meta-commands share its memo with the checker.
+        self.engine = module.engine
         #: Span profiler attached while ``:profile on`` is active.
         self.profiler: Optional[obs.SpanProfiler] = None
 

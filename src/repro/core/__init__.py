@@ -40,12 +40,12 @@ from .restrictions import (
 from .semantics import GeneralTypeSemantics, TypeSemantics, herbrand_universe
 from .subtype import SubtypeEngine, SubtypeStats
 from .subtype_sld import NaiveSubtypeProver, NaiveVerdict
-from .typed_resolution import TypedExecutionError, TypedExecutionResult, TypedInterpreter
-from .typed_run import (
+from .typed_resolution import (
     TYPED_RUN_CODE,
     SubjectReductionViolation,
-    TypedRunResult,
-    TypedRunner,
+    TypedExecutionError,
+    TypedExecutionResult,
+    TypedInterpreter,
 )
 from .typing import (
     in_agreement,
@@ -116,8 +116,6 @@ __all__ = [
     "TypedInterpreter",
     "TYPED_RUN_CODE",
     "SubjectReductionViolation",
-    "TypedRunResult",
-    "TypedRunner",
     "TypedExecutionResult",
     "TypedExecutionError",
     # extensions

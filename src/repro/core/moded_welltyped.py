@@ -21,13 +21,16 @@ machinery already built:
      constraint-collecting ``match``; type-variable commitments are
      solved from the shape equations and cover constraints exactly as in
      the strict checker — only the *agreement* requirement is replaced);
-  2. processing the head's ``IN`` positions, then the body left to right
-     (each goal consumes its ``IN`` positions before producing its
-     ``OUT`` positions), then the head's ``OUT`` positions: every
-     consumer occurrence of a variable at type ``τ`` must see only
-     producer occurrences at types ``σ`` with ``τ ⪰_C σ`` — information
-     flows sub → supertype only — and no variable may be consumed before
-     it was produced.
+  2. the mode dataflow pass :func:`~repro.core.modes.dataflow` — the
+     one :class:`~repro.core.modes.ModeChecker` runs over declared
+     types — over the *committed* position types: processing the head's
+     ``IN`` positions, then the body left to right (each goal consumes
+     its ``IN`` positions before producing its ``OUT`` positions), then
+     the head's ``OUT`` positions, every consumer occurrence of a
+     variable at type ``τ`` must see only producer occurrences at types
+     ``σ`` with ``τ ⪰_C σ`` — information flows sub → supertype only —
+     and no variable may be consumed before it was produced.  The first
+     violation the pass finds is the rejection reason.
 
 The reward is real expressiveness: the widening clause
 
@@ -51,11 +54,10 @@ from ..lp.clause import Clause, Program, Query
 from ..terms.pretty import pretty
 from ..terms.substitution import Substitution
 from ..terms.term import Struct, Term, Var, fresh_variable, variables_of
-from .constraint_match import ConstraintMatcher
 from .declarations import ConstraintSet, DeclarationError
 from .infer import CommonTypeInference
 from .match import MATCH_BOTTOM, MATCH_FAIL
-from .modes import IN, OUT, ModeEnv
+from .modes import UNPRODUCED, ModeEnv, ModeViolation, dataflow
 from .predicate_types import PredicateTypeEnv
 from .subtype import SubtypeEngine
 from .welltyped import ClauseReport, WellTypedChecker
@@ -74,17 +76,6 @@ class ModedClauseReport:
 
     def __bool__(self) -> bool:
         return self.well_typed
-
-
-@dataclass
-class _Occurrence:
-    """One argument-position occurrence of a clause variable."""
-
-    atom: Struct
-    position: int
-    mode: str  # IN or OUT
-    stage: int  # 0 = head inputs, i = body goal i, last = head outputs
-    type_term: Term  # the committed position type
 
 
 class ModedWellTypedChecker:
@@ -209,20 +200,13 @@ class ModedWellTypedChecker:
         if solution is None:
             return rejected("type-variable commitment constraints are unsolvable")
 
-        # Condition 2: the dataflow pass.
-        occurrences = self._occurrences(head, atoms, position_types, solution)
-        produced: Dict[Var, List[Term]] = {}
-        ordered = sorted(occurrences, key=lambda o: (o.stage, o.mode == OUT))
-        for occurrence in ordered:
-            for var in self._variables_at(occurrence):
-                if occurrence.mode == IN and occurrence.stage > 0:
-                    # A body goal (or the head's OUT epilogue, encoded as
-                    # the final stage) consumes before it produces.
-                    failure = self._consume(var, occurrence, produced)
-                    if failure is not None:
-                        return rejected(failure)
-                else:
-                    produced.setdefault(var, []).append(occurrence.type_term)
+        # Condition 2: the dataflow pass over the committed position types.
+        committed = [[solution.apply(t) for t in types] for types in position_types]
+        violation = next(
+            dataflow(head, body, committed, self.modes, self.engine), None
+        )
+        if violation is not None:
+            return rejected(_directional_reason(violation))
         return ModedClauseReport(True, via="directional", strict_report=strict_report)
 
     # -- helpers -------------------------------------------------------------------------
@@ -262,57 +246,16 @@ class ModedWellTypedChecker:
             inferred[var] = candidate
         return current.compose(Substitution(inferred))
 
-    def _occurrences(
-        self,
-        head: Optional[Struct],
-        atoms: List[Struct],
-        position_types: List[List[Term]],
-        solution: Substitution,
-    ) -> List[_Occurrence]:
-        out: List[_Occurrence] = []
-        final_stage = len(atoms) + 1
-        for index, atom in enumerate(atoms):
-            is_head = head is not None and index == 0
-            declared_modes = self.modes.modes_of(atom)
-            for position, arg_type in enumerate(position_types[index]):
-                committed = solution.apply(arg_type)
-                if is_head:
-                    mode = declared_modes[position] if declared_modes else IN
-                    # Head INs enter at stage 0; head OUTs are consumed
-                    # after the whole body (the final stage), flagged IN
-                    # so the dataflow treats them as consumers.
-                    if mode == IN:
-                        out.append(_Occurrence(atom, position, OUT, 0, committed))
-                    else:
-                        out.append(_Occurrence(atom, position, IN, final_stage, committed))
-                else:
-                    # Body goal i is stage i (atoms[0] is the head) or
-                    # stage i+1 in a query (no head at index 0).
-                    stage = index if head is not None else index + 1
-                    mode = declared_modes[position] if declared_modes else OUT
-                    out.append(_Occurrence(atom, position, mode, stage, committed))
-        return out
 
-    def _variables_at(self, occurrence: _Occurrence) -> Set[Var]:
-        return variables_of(occurrence.atom.args[occurrence.position])
-
-    def _consume(
-        self,
-        var: Var,
-        occurrence: _Occurrence,
-        produced: Dict[Var, List[Term]],
-    ) -> Optional[str]:
-        productions = produced.get(var)
-        if not productions:
-            return (
-                f"variable {var} consumed at {pretty(occurrence.atom)} "
-                f"argument {occurrence.position + 1} before being produced"
-            )
-        for sigma in productions:
-            if not self.engine.more_general(occurrence.type_term, sigma):
-                return (
-                    f"variable {var}: produced at {pretty(sigma)}, which does not "
-                    f"flow into consumer type {pretty(occurrence.type_term)} at "
-                    f"{pretty(occurrence.atom)}"
-                )
-        return None
+def _directional_reason(violation: ModeViolation) -> str:
+    """The rejection reason for the first directional violation."""
+    if violation.kind == UNPRODUCED:
+        return (
+            f"variable {violation.variable} consumed at {pretty(violation.atom)} "
+            f"argument {violation.position + 1} before being produced"
+        )
+    return (
+        f"variable {violation.variable}: produced at "
+        f"{pretty(violation.produced_type)}, which does not flow into consumer "
+        f"type {pretty(violation.consumer_type)} at {pretty(violation.atom)}"
+    )

@@ -28,12 +28,18 @@ gives the example above; [DH88] is the reference design).  The rules:
 The check is per-variable and per-argument-position; non-variable
 argument terms are treated as produced/consumed atomically using the
 clause's typing for their variables.
+
+:func:`dataflow` is the one implementation of this pass.  It takes the
+per-atom position types as input: :class:`ModeChecker` feeds it the
+declared types, and the directional fallback of
+:class:`~repro.core.moded_welltyped.ModedWellTypedChecker` (its
+Condition 2) feeds it the committed types of a clause typing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..lp.clause import Clause, Program, Query
 from ..terms.pretty import pretty
@@ -51,6 +57,7 @@ __all__ = [
     "ModeViolation",
     "ModeChecker",
     "ModeReport",
+    "dataflow",
 ]
 
 IN = "IN"
@@ -136,13 +143,100 @@ class ModeReport:
         return self.ok
 
 
-class ModeChecker:
-    """Direction-safety of clauses and queries under mode declarations.
+def dataflow(
+    head: Optional[Struct],
+    body: Sequence[Struct],
+    position_types: Sequence[Sequence[Term]],
+    modes: ModeEnv,
+    engine: SubtypeEngine,
+) -> Iterator[ModeViolation]:
+    """The producer/consumer pass over one clause (or query, ``head=None``).
+
+    ``position_types`` holds one type per argument position for each
+    atom, the head first when there is one.  The head's ``IN`` positions
+    produce, then each body goal consumes its ``IN`` positions before
+    producing its ``OUT`` positions, and the head's ``OUT`` positions
+    consume last; within a stage positions go left to right.  Violations
+    are yielded lazily in that order, so a caller that only needs the
+    first one stops the pass (and its subtype goals) there.
 
     Predicates without a mode declaration default to all-``OUT`` on body
     occurrences and all-``IN`` on head occurrences — the permissive
     reading that reproduces the unmoded system's behaviour.
     """
+    produced: Dict[Var, List[Term]] = {}
+    types = iter(position_types)
+    if head is not None:
+        head_types = next(types)
+        head_modes = modes.modes_of(head) or (IN,) * len(head.args)
+        for arg, arg_type, mode in zip(head.args, head_types, head_modes):
+            if mode == IN:
+                for var in variables_of(arg):
+                    produced.setdefault(var, []).append(arg_type)
+    for goal, goal_types in zip(body, types):
+        goal_modes = modes.modes_of(goal) or (OUT,) * len(goal.args)
+        # Consumers first: the goal reads its IN arguments before binding
+        # its OUT arguments.
+        for position, (arg, arg_type, mode) in enumerate(
+            zip(goal.args, goal_types, goal_modes)
+        ):
+            if mode == IN:
+                yield from _consume(produced, engine, goal, position, arg, arg_type)
+        for arg, arg_type, mode in zip(goal.args, goal_types, goal_modes):
+            if mode == OUT:
+                for var in variables_of(arg):
+                    produced.setdefault(var, []).append(arg_type)
+    if head is not None:
+        for position, (arg, arg_type, mode) in enumerate(
+            zip(head.args, head_types, head_modes)
+        ):
+            if mode == OUT:
+                yield from _consume(
+                    produced, engine, head, position, arg, arg_type, at_head=True
+                )
+
+
+def _consume(
+    produced: Dict[Var, List[Term]],
+    engine: SubtypeEngine,
+    atom: Struct,
+    position: int,
+    arg: Term,
+    arg_type: Term,
+    at_head: bool = False,
+) -> Iterator[ModeViolation]:
+    """Violations of one consumer position against the productions so far."""
+    for var in variables_of(arg):
+        productions = produced.get(var)
+        if not productions:
+            yield ModeViolation(
+                atom,
+                position,
+                var,
+                "consumed in an IN position before being produced",
+                kind=UNPRODUCED,
+                consumer_type=arg_type,
+                at_head=at_head,
+            )
+            continue
+        for sigma in productions:
+            if not engine.more_general(arg_type, sigma):
+                yield ModeViolation(
+                    atom,
+                    position,
+                    var,
+                    f"produced at type {pretty(sigma)}, which does not "
+                    f"flow into consumer type {pretty(arg_type)}",
+                    kind=FLOW,
+                    produced_type=sigma,
+                    consumer_type=arg_type,
+                    at_head=at_head,
+                )
+
+
+class ModeChecker:
+    """Direction-safety of clauses and queries under mode declarations:
+    :func:`dataflow` over the predicates' declared position types."""
 
     def __init__(
         self,
@@ -160,100 +254,20 @@ class ModeChecker:
 
     def check_query(self, query: Query) -> ModeReport:
         """Direction-safety of a query's left-to-right execution."""
-        report = ModeReport()
-        produced: Dict[Var, List[Term]] = {}
-        for goal in query.goals:
-            self._process_goal(goal, produced, report)
-        return report
+        return self._report(None, query.goals)
 
     def check_clause(self, clause: Clause) -> ModeReport:
         """Direction-safety of one clause: head INs produce, body runs
         left-to-right, head OUTs consume at the end."""
-        report = ModeReport()
-        produced: Dict[Var, List[Term]] = {}
-        head_modes = self.modes.modes_of(clause.head)
-        declared = self.predicate_types.type_of(clause.head)
-        # Head IN positions produce at their declared types.
-        for position, (arg, arg_type) in enumerate(zip(clause.head.args, declared.args)):
-            mode = head_modes[position] if head_modes else IN
-            if mode == IN:
-                for var in variables_of(arg):
-                    produced.setdefault(var, []).append(arg_type)
-        for goal in clause.body:
-            self._process_goal(goal, produced, report)
-        # Head OUT positions consume at the end.
-        for position, (arg, arg_type) in enumerate(zip(clause.head.args, declared.args)):
-            mode = head_modes[position] if head_modes else IN
-            if mode == OUT:
-                self._consume(
-                    clause.head, position, arg, arg_type, produced, report,
-                    at_head=True,
-                )
-        return report
+        return self._report(clause.head, clause.body)
 
     def check_program(self, program: Program) -> List[Tuple[Clause, ModeReport]]:
         """Check every clause; returns (clause, report) pairs."""
         return [(clause, self.check_clause(clause)) for clause in program]
 
-    # -- the dataflow pass -----------------------------------------------------
-
-    def _process_goal(
-        self,
-        goal: Struct,
-        produced: Dict[Var, List[Term]],
-        report: ModeReport,
-    ) -> None:
-        goal_modes = self.modes.modes_of(goal)
-        declared = self.predicate_types.type_of(goal)
-        # Consumers first: the goal reads its IN arguments before binding
-        # its OUT arguments.
-        for position, (arg, arg_type) in enumerate(zip(goal.args, declared.args)):
-            mode = goal_modes[position] if goal_modes else OUT
-            if mode == IN:
-                self._consume(goal, position, arg, arg_type, produced, report)
-        for position, (arg, arg_type) in enumerate(zip(goal.args, declared.args)):
-            mode = goal_modes[position] if goal_modes else OUT
-            if mode == OUT:
-                for var in variables_of(arg):
-                    produced.setdefault(var, []).append(arg_type)
-
-    def _consume(
-        self,
-        atom: Struct,
-        position: int,
-        arg: Term,
-        arg_type: Term,
-        produced: Dict[Var, List[Term]],
-        report: ModeReport,
-        at_head: bool = False,
-    ) -> None:
-        for var in variables_of(arg):
-            productions = produced.get(var)
-            if not productions:
-                report.violations.append(
-                    ModeViolation(
-                        atom,
-                        position,
-                        var,
-                        "consumed in an IN position before being produced",
-                        kind=UNPRODUCED,
-                        consumer_type=arg_type,
-                        at_head=at_head,
-                    )
-                )
-                continue
-            for sigma in productions:
-                if not self.engine.more_general(arg_type, sigma):
-                    report.violations.append(
-                        ModeViolation(
-                            atom,
-                            position,
-                            var,
-                            f"produced at type {pretty(sigma)}, which does not "
-                            f"flow into consumer type {pretty(arg_type)}",
-                            kind=FLOW,
-                            produced_type=sigma,
-                            consumer_type=arg_type,
-                            at_head=at_head,
-                        )
-                    )
+    def _report(self, head: Optional[Struct], body: Sequence[Struct]) -> ModeReport:
+        atoms = ([head] if head is not None else []) + list(body)
+        declared = [self.predicate_types.type_of(atom).args for atom in atoms]
+        return ModeReport(
+            list(dataflow(head, body, declared, self.modes, self.engine))
+        )

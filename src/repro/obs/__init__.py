@@ -43,7 +43,6 @@ from .events import (
     MatchCallEvent,
     PhaseEvent,
     ResolventCheckEvent,
-    SubjectReductionEvent,
     SldStepEvent,
     SubtypeGoalEvent,
     TraceEvent,
@@ -100,7 +99,6 @@ __all__ = [
     "SldStepEvent",
     "MatchCallEvent",
     "ResolventCheckEvent",
-    "SubjectReductionEvent",
     "CacheProbeEvent",
     "PhaseEvent",
 ]

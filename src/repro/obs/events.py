@@ -33,7 +33,6 @@ __all__ = [
     "SldStepEvent",
     "MatchCallEvent",
     "ResolventCheckEvent",
-    "SubjectReductionEvent",
     "CacheProbeEvent",
     "PhaseEvent",
 ]
@@ -101,27 +100,14 @@ class MatchCallEvent(TraceEvent):
 
 @dataclass(frozen=True)
 class ResolventCheckEvent(TraceEvent):
-    """One Theorem 6 well-typedness re-check of a resolvent."""
+    """One Theorem 6 well-typedness re-check of a resolvent.
 
-    kind: ClassVar[str] = "resolvent_check"
-
-    size: int = 0
-    well_typed: bool = True
-    reason: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class SubjectReductionEvent(TraceEvent):
-    """One ``--typed-run`` per-step subject-reduction assertion.
-
-    Emitted by :class:`~repro.core.typed_run.TypedRunner` for every
-    resolution step: ``step`` is the 1-based step index within the
-    query, ``via`` records which checker judged the resolvent
-    (``strict`` Definition 16 or the ``directional`` moded fallback),
-    and a failed assertion carries the checker's ``reason``.
+    ``step`` is the 1-based resolution step within the query and ``via``
+    records which checker judged the resolvent (``strict`` Definition 16
+    or the ``directional`` moded fallback).
     """
 
-    kind: ClassVar[str] = "typed_run_step"
+    kind: ClassVar[str] = "resolvent_check"
 
     step: int = 0
     size: int = 0

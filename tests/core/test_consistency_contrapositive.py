@@ -51,8 +51,9 @@ def test_section5_commitment_leak_is_detected(environment):
         ":- p(X), q(X).",
     )
     assert result.violations, "the ill-typed resolvent must be caught"
-    goals, reason = result.violations[0]
-    assert any(goal.functor == "q" for goal in goals)
+    violation = result.violations[0]
+    assert violation.via == "strict" and violation.reason
+    assert any(goal.functor == "q" for goal in violation.goals)
 
 
 def test_two_context_query_produces_violation_or_bad_answer(environment):

@@ -204,3 +204,49 @@ def test_solve_commitments_bound_cover_is_skipped(setting):
         setting, equations=[("X", "nat")], covers=[("X", "int")]
     )
     assert solution is not None
+
+
+# -- pinned renderings: the full directional rejection reasons ----------------
+
+
+def test_query_flow_and_unproduced_reasons_are_pinned(setting):
+    cset, predicate_types, modes = setting
+    modes.declare("q", [OUT])
+    modes.declare("p", [IN])
+    report = checker_for(setting).check_query(query(":- q(X), p(X)."))
+    assert (report.well_typed, report.via) == (False, "directional")
+    assert report.reason == (
+        "variable X: produced at int, which does not flow into "
+        "consumer type nat at p(X)"
+    )
+
+    modes = ModeEnv()
+    modes.declare("p", [OUT])
+    modes.declare("q", [IN])
+    checker = ModedWellTypedChecker(cset, predicate_types, modes)
+    report = checker.check_query(query(":- q(X), p(X)."))
+    assert (report.well_typed, report.via) == (False, "directional")
+    assert report.reason == (
+        "variable X consumed at q(X) argument 1 before being produced"
+    )
+
+
+def test_clause_flow_and_unproduced_reasons_are_pinned(setting):
+    cset, predicate_types, modes = setting
+    predicate_types.declare(parse_atom("int2natx(int, nat)"))
+    modes.declare("int2natx", [IN, OUT])
+    modes.declare("q", [OUT])
+    modes.declare("p", [IN])
+    checker = checker_for(setting)
+    report = checker.check_clause(clause("int2natx(X, X)."))
+    assert (report.well_typed, report.via) == (False, "directional")
+    assert report.reason == (
+        "variable X: produced at int, which does not flow into "
+        "consumer type nat at int2natx(X, X)"
+    )
+
+    report = checker.check_clause(clause("q(X) :- p(X)."))
+    assert (report.well_typed, report.via) == (False, "directional")
+    assert report.reason == (
+        "variable X consumed at p(X) argument 1 before being produced"
+    )

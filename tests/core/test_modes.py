@@ -228,3 +228,63 @@ def test_violation_objects_carry_structured_fields(setting):
     assert violation.position == 0
     assert violation.at_head is False
     assert str(violation.produced_type) != str(violation.consumer_type)
+
+
+# -- pinned renderings: the full reason strings and structured fields --------
+
+
+def test_query_flow_and_unproduced_violations_are_pinned(setting):
+    cset, predicate_types, modes = setting
+    modes.declare("q", [OUT])
+    modes.declare("p", [IN])
+    [flow] = checker_for(setting).check_query(query(":- q(X), p(X).")).violations
+    assert str(flow) == (
+        "p(X) argument 1: variable X: produced at type int, "
+        "which does not flow into consumer type nat"
+    )
+    assert flow.reason == (
+        "produced at type int, which does not flow into consumer type nat"
+    )
+    assert (str(flow.atom), flow.position, str(flow.variable)) == ("p(X)", 0, "X")
+    assert flow.kind == "flow" and flow.at_head is False
+    assert (str(flow.produced_type), str(flow.consumer_type)) == ("int", "nat")
+
+    modes = ModeEnv()
+    modes.declare("p", [OUT])
+    modes.declare("q", [IN])
+    checker = ModeChecker(cset, predicate_types, modes)
+    [unproduced] = checker.check_query(query(":- q(X), p(X).")).violations
+    assert str(unproduced) == (
+        "q(X) argument 1: variable X: "
+        "consumed in an IN position before being produced"
+    )
+    assert (str(unproduced.atom), unproduced.position) == ("q(X)", 0)
+    assert unproduced.kind == "unproduced" and unproduced.at_head is False
+    assert unproduced.produced_type is None
+    assert str(unproduced.consumer_type) == "int"
+
+
+def test_clause_flow_and_unproduced_violations_are_pinned(setting):
+    cset, predicate_types, modes = setting
+    predicate_types.declare(parse_atom("int2natx(int, nat)"))
+    modes.declare("int2natx", [IN, OUT])
+    modes.declare("gen", [OUT])
+    checker = checker_for(setting)
+    [flow] = checker.check_clause(clause("int2natx(X, X).")).violations
+    assert str(flow) == (
+        "int2natx(X, X) argument 2: variable X: produced at type int, "
+        "which does not flow into consumer type nat"
+    )
+    assert (flow.position, str(flow.variable), flow.kind) == (1, "X", "flow")
+    assert flow.at_head is True
+    assert (str(flow.produced_type), str(flow.consumer_type)) == ("int", "nat")
+
+    [unproduced] = checker.check_clause(clause("gen(X).")).violations
+    assert str(unproduced) == (
+        "gen(X) argument 1: variable X: "
+        "consumed in an IN position before being produced"
+    )
+    assert (unproduced.position, unproduced.kind) == (0, "unproduced")
+    assert unproduced.at_head is True
+    assert unproduced.produced_type is None
+    assert str(unproduced.consumer_type) == "nat"

@@ -1,7 +1,11 @@
-"""--typed-run's engine: per-resolvent subject reduction (Theorem 6)."""
+"""--typed-run's engine: per-resolvent subject reduction (Theorem 6).
+
+``TypedInterpreter.run`` either collects every ill-typed resolvent or,
+with ``abort_on_violation``, stops at the first one.
+"""
 
 from repro.checker import check_text
-from repro.core.typed_run import TYPED_RUN_CODE, TypedRunner
+from repro.core import TYPED_RUN_CODE, TypedInterpreter
 from repro.workloads import APPEND
 
 MODED = """\
@@ -40,53 +44,80 @@ usenat(0).
 """
 
 
-def runner_for(text):
+def interpreter_for(text):
     module = check_text(text)
     checker = module.moded_checker or module.checker
     assert checker is not None
-    return module, TypedRunner(checker, module.program)
+    return module, TypedInterpreter(checker, module.program, check_program=False)
+
+
+def typed_run(interpreter, query, **options):
+    """The ``--typed-run`` configuration: abort at the first violation."""
+    return interpreter.run(
+        query, check_query=False, check_answers=False, abort_on_violation=True,
+        **options,
+    )
 
 
 def test_well_moded_query_holds_subject_reduction():
-    module, runner = runner_for(MODED)
-    result = runner.run(module.queries[0])
-    assert result.ok and not result.aborted
+    module, interpreter = interpreter_for(MODED)
+    result = typed_run(interpreter, module.queries[0])
+    assert result.consistent and result.violations == []
     assert len(result.answers) == 1
-    assert result.steps >= 2  # at least one resolvent per body goal
+    assert result.resolvents_checked >= 2  # at least one resolvent per body goal
 
 
 def test_ill_moded_query_aborts_at_the_first_bad_resolvent():
-    module, runner = runner_for(ILL_MODED)
-    result = runner.run(module.queries[0])
-    assert result.aborted and not result.ok
-    violation = result.violation
+    module, interpreter = interpreter_for(ILL_MODED)
+    result = typed_run(interpreter, module.queries[0])
+    assert not result.consistent
+    [violation] = result.violations
     assert violation.step == 1
+    assert violation.via == "directional"  # judged by the moded checker
     assert "usenat(pred(0))" in violation.render()
     assert "subject reduction violated at resolution step 1" in violation.render()
 
 
 def test_abort_on_violation_false_records_but_keeps_running():
-    module, runner = runner_for(ILL_MODED)
-    result = runner.run(module.queries[0], abort_on_violation=False)
-    assert result.violation is not None
-    # Execution continued past the violation: the query simply fails.
-    assert result.answers == []
-    assert result.steps > result.violation.step or result.steps >= 1
+    # A second makeint clause gives the search somewhere to go after the
+    # ill-typed resolvent usenat(pred(0)) fails.
+    module, interpreter = interpreter_for(ILL_MODED + "makeint(0).\n")
+    collected = interpreter.run(module.queries[0], check_query=False)
+    assert [v.step for v in collected.violations] == [1]
+    # Execution continued past the violation: usenat(0) (step 2) and the
+    # empty clause (step 3) were reached and the query answered X = 0.
+    assert collected.resolvents_checked == 3
+    assert [str(answer) for answer in collected.answers] == ["{X -> 0}"]
+    aborted = typed_run(interpreter, module.queries[0])
+    assert aborted.resolvents_checked == 1 and aborted.answers == []
+
+
+def test_abort_records_exactly_the_collect_policys_first_violation():
+    module, interpreter = interpreter_for(ILL_MODED)
+    aborted = typed_run(interpreter, module.queries[0])
+    collected = interpreter.run(module.queries[0], check_query=False)
+    assert len(aborted.violations) == 1
+    [first] = aborted.violations
+    expected = collected.violations[0]
+    assert (first.step, first.goals, first.reason, first.via) == (
+        expected.step, expected.goals, expected.reason, expected.via,
+    )
+    assert first.render() == expected.render()
 
 
 def test_unmoded_program_uses_the_strict_checker():
     module = check_text(APPEND + ":- app(cons(nil,nil), nil, R).\n")
     assert module.moded_checker is None
-    runner = TypedRunner(module.checker, module.program)
-    result = runner.run(module.queries[0])
-    assert result.ok and len(result.answers) == 1
+    interpreter = TypedInterpreter(module.checker, module.program, check_program=False)
+    result = typed_run(interpreter, module.queries[0])
+    assert result.consistent and len(result.answers) == 1
 
 
 def test_max_answers_stops_enumeration():
     module = check_text(APPEND + ":- app(X, Y, cons(nil,nil)).\n")
-    runner = TypedRunner(module.checker, module.program)
-    result = runner.run(module.queries[0], max_answers=1)
-    assert result.ok and len(result.answers) == 1
+    interpreter = TypedInterpreter(module.checker, module.program, check_program=False)
+    result = typed_run(interpreter, module.queries[0], max_answers=1)
+    assert result.consistent and len(result.answers) == 1
 
 
 def test_typed_run_code_is_reserved_outside_the_static_family():
