@@ -41,7 +41,7 @@ from ..checker.diagnostics import Diagnostic, DiagnosticBag, Severity
 from ..lang.ast import Position, SourceFile
 from ..lang.lexer import LexError
 from ..lang.parser import ParseError, parse_file
-from ..obs import METRICS
+from ..obs import METRICS, span
 from .context import LintContext
 from .registry import (
     ANALYZER_VERSION,
@@ -128,14 +128,14 @@ def lint_source(
     registry = registry or default_registry()
     config = config or LintConfig()
     report = LintReport(path=path, fingerprint=registry.fingerprint(config))
-    with METRICS.time("analysis.lint"):
+    with span("analysis.lint"):
         ctx = LintContext.build(source, path=path)
         for rule in registry.selected(config):
             before = len(ctx.bag)
             # Rebind the check function's rule so severity overrides
             # apply to findings reported through ``check._rule``.
             rule.check._rule = rule
-            with METRICS.time(f"analysis.pass.{rule.code}"):
+            with span(f"analysis.pass.{rule.code}"):
                 rule.check(ctx)
             fired = len(ctx.bag) - before
             if fired and METRICS.enabled:
@@ -158,7 +158,7 @@ def lint_text(
     registry = registry or default_registry()
     config = config or LintConfig()
     try:
-        with METRICS.time("analysis.parse"):
+        with span("analysis.parse"):
             source = parse_file(text)
     except ParseError as error:
         report = LintReport(path=path, fingerprint=registry.fingerprint(config))

@@ -57,7 +57,7 @@ from ...core.infer import CommonTypeInference
 from ...core.match import MATCH_BOTTOM, MATCH_FAIL
 from ...core.subtype import SubtypeEngine
 from ...lang.ast import ClauseDecl, PredDecl, QueryDecl
-from ...obs import METRICS
+from ...obs import METRICS, span
 from ...terms.pretty import pretty
 from ...terms.substitution import Substitution
 from ...terms.term import (
@@ -137,7 +137,7 @@ class ProgramInference:
         self.success: Dict[Indicator, SuccessSet] = {}
         self._reconstructions = None
 
-        with METRICS.time("analysis.absint.fixpoint"):
+        with span("analysis.absint.fixpoint"):
             self._run()
         if METRICS.enabled:
             METRICS.inc("analysis.absint.predicates", len(self.clauses_by_pred))

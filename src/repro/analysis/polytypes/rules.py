@@ -48,7 +48,7 @@ from ...core.builtins import (
     numeric_type_name,
 )
 from ...lang.ast import ClauseDecl, ModeDecl, PredDecl, QueryDecl
-from ...obs import METRICS
+from ...obs import METRICS, span
 from ...terms.pretty import pretty
 from ...terms.term import Struct, Term, Var, variables_of
 from ..context import LintContext, _is_constraint_goal
@@ -118,7 +118,7 @@ def _world(ctx: LintContext) -> Optional[_PolyWorld]:
             for goal in _goals_of(owner)
         )
         if poly or builtin_used:
-            with METRICS.time("analysis.polytypes.build"):
+            with span("analysis.polytypes.build"):
                 numeric = numeric_type_name(ctx.type_decls)
                 builtin_sig: Dict[str, Tuple[Term, ...]] = {}
                 if numeric is not None:
@@ -269,7 +269,7 @@ def _solution(world: _PolyWorld, ctx: LintContext, owner) -> Tuple[ConstraintGra
     key = id(owner)
     found = world.solved.get(key)
     if found is None:
-        with METRICS.time("analysis.polytypes.solve"):
+        with span("analysis.polytypes.solve"):
             graph = _collect(world, ctx, owner)
             solution = graph.solve()
         if METRICS.enabled:

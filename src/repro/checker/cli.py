@@ -294,7 +294,7 @@ def _audit_typing_witnesses(module) -> int:
     # checking stages, so hot goals of the audit are memo hits.
     engine = module.engine or SubtypeEngine(module.constraints)
     reports = []
-    with obs.METRICS.time("cli.witness_audit"), obs.TRACER.span("witness_audit"):
+    with obs.span("cli.witness_audit"):
         for clause in module.program:
             if _has_constraint_goal(clause.body):
                 continue
@@ -432,7 +432,7 @@ def _check_files(arguments) -> int:
             return 2
         # Per-file span: ``--profile``/``--trace`` attribute everything a
         # file costs (check, lint, inference, query runs) to its path.
-        with obs.TRACER.span("check_file", path):
+        with obs.span("check_file", detail=path):
             module = check_text(text)
             if len(module.diagnostics):
                 for diagnostic in module.diagnostics:
@@ -512,7 +512,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs.reset()
     obs.METRICS.enabled = True
     profiler = None
-    root = None
     try:
         if arguments.trace is not None:
             if arguments.trace == "-":
@@ -528,20 +527,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                     return 2
         if arguments.profile is not None:
             profiler = obs.profile_spans()
-            # One root span around the whole run: per-file spans (and
-            # any gaps between them) partition it, so the profile's
-            # self times always sum to the profiled wall time.
-            root = obs.TRACER.begin()
-        exit_code = _check_files(arguments)
-        if arguments.stats:
-            obs.publish_runtime_gauges()
-            print()
-            print(obs.render_summary())
-            for line in obs.runtime_stats_lines():
-                print(line)
-        if profiler is not None and root is not None:
-            obs.TRACER.end(root, obs.PhaseEvent, name="tlp_check")
-            root = None
+        # With --profile, one root span around the whole run: per-file
+        # spans (and any gaps between them) partition it, so the
+        # profile's self times always sum to the profiled wall time.
+        with obs.span("tlp_check") if profiler is not None else obs.NULL_SPAN:
+            exit_code = _check_files(arguments)
+            if arguments.stats:
+                obs.publish_runtime_gauges()
+                print()
+                print(obs.render_summary())
+                for line in obs.runtime_stats_lines():
+                    print(line)
+        if profiler is not None:
             report = profiler.report()
             print()
             print(report.render_table())
@@ -581,8 +578,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
         return exit_code
     finally:
-        if root is not None:  # checking raised mid-profile
-            obs.TRACER.end(root, obs.PhaseEvent, name="tlp_check")
         obs.TRACER.close_sinks()
         obs.METRICS.enabled = was_enabled
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set
 
 from ..core.builtins import BUILTIN_MODES, builtin_heads, is_builtin_goal
 from ..core.declarations import ConstraintSet, DeclarationError, SubtypeConstraint, SymbolTable
-from ..obs import METRICS, TRACER
+from ..obs import METRICS, TRACER, span
 from ..core.moded_welltyped import ModedWellTypedChecker
 from ..core.modes import ModeChecker, ModeEnv
 from ..core.predicate_types import PredicateTypeEnv
@@ -149,11 +149,11 @@ def check_source(
 ) -> CheckedModule:
     """Run the full pipeline over a parsed source file.
 
-    With ``repro.obs`` enabled the whole run is timed
+    With ``repro.obs`` enabled the whole run is one span
     (``checker.check_source``) and every Definition 16 clause/query check
-    gets its own timing sample (``checker.clause_check`` /
-    ``checker.query_check``) and trace span, so per-clause cost is
-    visible in ``tlp-check --stats`` output.
+    gets its own (``checker.clause_check`` / ``checker.query_check``), so
+    per-clause cost is visible in ``tlp-check --stats``, ``--trace`` and
+    ``--profile`` output.
 
     ``cancel`` threads a :class:`CancelToken` through the pipeline: the
     checker calls ``cancel.checkpoint()`` before every Definition 16
@@ -161,7 +161,7 @@ def check_source(
     cancelled mid-run raises :class:`CheckCancelled` within one clause
     boundary of the request.
     """
-    with METRICS.time("checker.check_source"):
+    with span("checker.check_source"):
         module = _check_source(source, cancel)
     if METRICS.enabled:
         METRICS.inc("checker.modules_checked")
@@ -349,7 +349,7 @@ def _check_source(
         if any(_is_constraint_goal(goal) for goal in clause.body):
             continue  # constrained-model clause: checked dynamically
         detail = str(clause) if TRACER.enabled else ""
-        with METRICS.time("checker.clause_check"), TRACER.span("check_clause", detail):
+        with span("checker.clause_check", detail=detail):
             report = moded.check_clause(clause) if moded else checker.check_clause(clause)
         METRICS.inc("checker.clauses_checked")
         if not report.well_typed:
@@ -365,7 +365,7 @@ def _check_source(
             # the constraint store of the constrained interpreter.
             continue
         detail = str(query) if TRACER.enabled else ""
-        with METRICS.time("checker.query_check"), TRACER.span("check_query", detail):
+        with span("checker.query_check", detail=detail):
             report = moded.check_query(query) if moded else checker.check_query(query)
         METRICS.inc("checker.queries_checked")
         if not report.well_typed:
@@ -402,7 +402,7 @@ def check_text(text: str, cancel: Optional[CancelToken] = None) -> CheckedModule
     """Parse and check source ``text`` (parse errors become diagnostics)."""
     module = CheckedModule()
     try:
-        with METRICS.time("checker.parse"):
+        with span("checker.parse"):
             source = parse_file(text)
     except (ParseError, LexError) as error:
         module.diagnostics.error(str(error))

@@ -63,10 +63,9 @@ caches are dropped on pickling: their keys are arbitrarily deep terms
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..obs import METRICS
+from ..obs import METRICS, span
 from ..terms.freeze import FROZEN_PREFIX
 from ..terms.term import Struct, Term
 from .declarations import ConstraintSet
@@ -666,13 +665,12 @@ class AutomataStore:
     def _compile(constraints: ConstraintSet) -> Optional[TreeAutomaton]:
         from .restrictions import is_guarded, is_uniform_polymorphic
 
-        start = time.perf_counter()
         if not is_uniform_polymorphic(constraints) or not is_guarded(constraints):
             return None
-        automaton = TreeAutomaton(constraints)
+        with span("subtype.automaton.compile"):
+            automaton = TreeAutomaton(constraints)
         if METRICS.enabled:
             METRICS.inc("subtype.automaton.compiles")
-            METRICS.observe("subtype.automaton.compile", time.perf_counter() - start)
         return automaton
 
     def clear(self) -> None:

@@ -34,10 +34,9 @@ construction.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..obs import METRICS, TRACER, CacheProbeEvent, MatchCallEvent
+from ..obs import METRICS, TRACER, CacheProbeEvent, MatchCallEvent, span
 from ..terms.pretty import pretty
 from ..terms.substitution import EMPTY_SUBSTITUTION, Substitution
 from ..terms.term import Struct, Term, Var
@@ -119,30 +118,27 @@ class Matcher:
 
     def _match_observed(self, type_term: Term, term: Term) -> MatchResult:
         """Telemetry wrapper around one public ``match`` call."""
-        handle = TRACER.begin() if TRACER.enabled else None
-        start = time.perf_counter()
-        result = self._match(type_term, term)
-        elapsed = time.perf_counter() - start
-        if result is MATCH_FAIL:
-            outcome = "fail"
-        elif result is MATCH_BOTTOM:
-            outcome = "bottom"
-        else:
-            outcome = "typing"
+        with span("match.match", MatchCallEvent) as region:
+            result = self._match(type_term, term)
+            if result is MATCH_FAIL:
+                outcome = "fail"
+            elif result is MATCH_BOTTOM:
+                outcome = "bottom"
+            else:
+                outcome = "typing"
+            if region.traced:
+                region.attach(
+                    matcher="plain",
+                    type_term=pretty(type_term),
+                    term=pretty(term),
+                    outcome=outcome,
+                    typed_variables=(
+                        len(result) if isinstance(result, Substitution) else 0
+                    ),
+                )
         if METRICS.enabled:
             METRICS.inc("match.calls")
             METRICS.inc(f"match.{outcome}")
-            METRICS.observe("match.match", elapsed)
-        if handle is not None:
-            TRACER.end(
-                handle,
-                MatchCallEvent,
-                matcher="plain",
-                type_term=pretty(type_term),
-                term=pretty(term),
-                outcome=outcome,
-                typed_variables=len(result) if isinstance(result, Substitution) else 0,
-            )
         return result
 
     def _match(self, type_term: Term, term: Term) -> MatchResult:

@@ -52,11 +52,17 @@ one flag check in ``holds`` before dispatching to the seed code path
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from ..obs import METRICS, TRACER, CacheProbeEvent, PhaseEvent, SubtypeGoalEvent
+from ..obs import (
+    METRICS,
+    TRACER,
+    CacheProbeEvent,
+    PhaseEvent,
+    SubtypeGoalEvent,
+    span,
+)
 from ..terms.freeze import freeze
 from ..terms.pretty import pretty
 from ..terms.term import Struct, Term, Var
@@ -141,12 +147,20 @@ class SubtypeEngine:
             stats.automaton_hits,
             stats.automaton_fallbacks,
         )
-        handle = TRACER.begin() if TRACER.enabled else None
-        start = time.perf_counter()
-        result = self._holds_core(supertype, subtype)
-        elapsed = time.perf_counter() - start
-        steps = stats.substitution_steps - before[0]
-        expansions = stats.constraint_expansions - before[1]
+        with span("subtype.holds", SubtypeGoalEvent) as region:
+            result = self._holds_core(supertype, subtype)
+            steps = stats.substitution_steps - before[0]
+            expansions = stats.constraint_expansions - before[1]
+            if region.traced:
+                region.attach(
+                    supertype=pretty(supertype),
+                    subtype=pretty(subtype),
+                    engine="strategy",
+                    result=result,
+                    substitution_steps=steps,
+                    expansions=expansions,
+                    reason=None if result else "no_refutation",
+                )
         if METRICS.enabled:
             METRICS.inc("subtype.goals")
             METRICS.inc("subtype.true" if result else "subtype.false")
@@ -180,19 +194,6 @@ class SubtypeEngine:
                 shared_entries = stats.memo_entries - before[3]
                 if shared_entries:
                     METRICS.inc("subtype.shared_memo.entries", shared_entries)
-            METRICS.observe("subtype.holds", elapsed)
-        if handle is not None:
-            TRACER.end(
-                handle,
-                SubtypeGoalEvent,
-                supertype=pretty(supertype),
-                subtype=pretty(subtype),
-                engine="strategy",
-                result=result,
-                substitution_steps=steps,
-                expansions=expansions,
-                reason=None if result else "no_refutation",
-            )
         return result
 
     def _holds_core(self, supertype: Term, subtype: Term) -> bool:

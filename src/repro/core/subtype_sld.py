@@ -32,13 +32,12 @@ differential tests assert the reason on every unknown.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Set
 
 from ..lp.database import Database
 from ..lp.resolution import SLDResult, solve, solve_iterative_deepening
-from ..obs import METRICS, TRACER, SubtypeGoalEvent
+from ..obs import METRICS, SubtypeGoalEvent, span
 from ..terms.freeze import freeze
 from ..terms.pretty import pretty
 from ..terms.term import Struct, Term, subterms
@@ -136,29 +135,21 @@ class NaiveSubtypeProver:
     def holds_detailed(self, supertype: Term, subtype: Term) -> NaiveVerdict:
         """Like :meth:`holds`, returning the verdict with its reason."""
         database = self._database_for(supertype, subtype)
-        observing = METRICS.enabled or TRACER.enabled
-        handle = TRACER.begin() if TRACER.enabled else None
-        start = time.perf_counter() if observing else 0.0
-        result = solve(
-            database,
-            [subtype_goal(supertype, subtype)],
-            depth_limit=self.max_depth,
-            step_limit=self.step_limit,
-            max_answers=1,
-            variant_check=self.variant_check,
-        )
-        verdict = self._conclude(result)
-        if observing:
-            self._record(handle, supertype, subtype, verdict, start)
+        with span("naive.holds", SubtypeGoalEvent) as region:
+            result = solve(
+                database,
+                [subtype_goal(supertype, subtype)],
+                depth_limit=self.max_depth,
+                step_limit=self.step_limit,
+                max_answers=1,
+                variant_check=self.variant_check,
+            )
+            verdict = self._conclude(result)
+            self._record(region, supertype, subtype, verdict)
         return verdict
 
     def _record(
-        self,
-        handle,
-        supertype: Term,
-        subtype: Term,
-        verdict: NaiveVerdict,
-        start: float,
+        self, region, supertype: Term, subtype: Term, verdict: NaiveVerdict
     ) -> None:
         """Mirror one naive query into the telemetry registry/tracer."""
         if METRICS.enabled:
@@ -170,11 +161,8 @@ class NaiveSubtypeProver:
             else:
                 METRICS.inc("naive.unknown")
                 METRICS.inc(f"naive.exhausted_{verdict.exhaustion}")
-            METRICS.observe("naive.holds", time.perf_counter() - start)
-        if handle is not None:
-            TRACER.end(
-                handle,
-                SubtypeGoalEvent,
+        if region.traced:
+            region.attach(
                 supertype=pretty(supertype),
                 subtype=pretty(subtype),
                 engine="naive",
@@ -193,22 +181,19 @@ class NaiveSubtypeProver:
         search, used by the benchmark that characterises the naive
         prover's cost as a function of derivation depth."""
         database = self._database_for(supertype, subtype)
-        observing = METRICS.enabled or TRACER.enabled
-        handle = TRACER.begin() if TRACER.enabled else None
-        start = time.perf_counter() if observing else 0.0
-        result = solve_iterative_deepening(
-            database,
-            [subtype_goal(supertype, subtype)],
-            max_depth=self.max_depth,
-            start_depth=start_depth,
-            depth_step=depth_step,
-            step_limit_per_round=self.step_limit,
-            max_answers=1,
-            variant_check=self.variant_check,
-        )
-        verdict = self._conclude(result)
-        if observing:
-            self._record(handle, supertype, subtype, verdict, start)
+        with span("naive.holds", SubtypeGoalEvent) as region:
+            result = solve_iterative_deepening(
+                database,
+                [subtype_goal(supertype, subtype)],
+                max_depth=self.max_depth,
+                start_depth=start_depth,
+                depth_step=depth_step,
+                step_limit_per_round=self.step_limit,
+                max_answers=1,
+                variant_check=self.variant_check,
+            )
+            verdict = self._conclude(result)
+            self._record(region, supertype, subtype, verdict)
         return verdict.verdict
 
     def contains(self, type_term: Term, ground_term: Term) -> Optional[bool]:

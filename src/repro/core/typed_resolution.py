@@ -44,7 +44,7 @@ from typing import List, Optional, Tuple, Union
 from ..lp.clause import Program, Query
 from ..lp.database import Database
 from ..lp.resolution import SLDEngine
-from ..obs import METRICS, TRACER, ResolventCheckEvent
+from ..obs import METRICS, TRACER, ResolventCheckEvent, span
 from ..terms.pretty import pretty
 from ..terms.substitution import Substitution
 from ..terms.term import Struct
@@ -198,7 +198,7 @@ class TypedInterpreter:
             if TRACER.enabled
             else ""
         )
-        with METRICS.time("typed.query"), TRACER.span("typed_query", detail):
+        with span("typed.query", detail=detail):
             try:
                 for answer in engine.solve(query.goals, depth_limit=depth_limit):
                     result.answers.append(answer)

@@ -7,12 +7,17 @@ well-typed execution.  This package makes those dynamics visible without
 changing them:
 
 * a process-wide :class:`~repro.obs.registry.TelemetryRegistry`
-  (``obs.METRICS``) with named counters, gauges, and monotonic timers —
-  disabled by default, ~free when off;
+  (``obs.METRICS``) with named counters, gauges, and latency histograms
+  (whose moments are also read as timers) — disabled by default, ~free
+  when off;
 * a structured trace-event stream (``obs.TRACER``) of typed events
   (``subtype_goal``, ``sld_step``, ``match_call``, ``resolvent_check``,
-  ``cache_probe``) whose parent-span ids nest derivations, with
-  in-memory, JSON-lines, and tree-rendering sinks.
+  ``cache_probe``, ``phase``) whose parent-span ids nest derivations,
+  with in-memory and JSON-lines sinks;
+* one timing instrument, :func:`span`, joining the two: a timed region
+  reads the clock once at each end and that one duration feeds both the
+  metric of its name and, when tracing, its span event — so ``--stats``,
+  ``--trace`` and ``--profile`` all see the same regions.
 
 Quick use::
 
@@ -26,17 +31,22 @@ Quick use::
     data = obs.summary()              # plain dict, JSON-ready
     obs.disable()
 
+    with obs.span("checker.parse"):   # one timed region, both halves
+        ...
+
 Every instrumented hot path guards with ``if METRICS.enabled`` /
-``if TRACER.enabled``; with both off the pipeline runs the exact seed
-code paths (the overhead guard in ``tests/obs`` asserts < 5% on the
-subtype hot loop, and a differential test asserts bit-identical
-behaviour).
+``if TRACER.enabled`` (or goes through :func:`span`, which hands out a
+shared null object while both are off); with both off the pipeline
+runs the exact seed code paths (the overhead guard in ``tests/obs``
+asserts < 5% on the subtype hot loop, and a differential test asserts
+bit-identical behaviour).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, IO, Iterator, Optional, Tuple
+import time
+from typing import Any, Dict, IO, Iterator, Optional, Tuple, Type
 
 from .events import (
     CacheProbeEvent,
@@ -51,14 +61,13 @@ from .export import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .export import parse_exposition, render_prometheus
 from .histogram import HistogramStat
 from .profile import ProfileReport, SpanProfiler
-from .registry import TelemetryRegistry, TimerStat
+from .registry import TelemetryRegistry
 from .trace import (
     JsonlSink,
     MemorySink,
     SpanHandle,
     Tracer,
     TraceSink,
-    TreeSink,
     render_tree,
 )
 
@@ -68,6 +77,9 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
+    "span",
+    "Span",
+    "NULL_SPAN",
     "reset",
     "summary",
     "render_summary",
@@ -80,7 +92,6 @@ __all__ = [
     "trace_to_path",
     "profile_spans",
     "TelemetryRegistry",
-    "TimerStat",
     "HistogramStat",
     "SpanProfiler",
     "ProfileReport",
@@ -91,7 +102,6 @@ __all__ = [
     "TraceSink",
     "MemorySink",
     "JsonlSink",
-    "TreeSink",
     "SpanHandle",
     "render_tree",
     "TraceEvent",
@@ -108,6 +118,88 @@ METRICS = TelemetryRegistry()
 
 #: The process-wide tracer every instrumented module emits events through.
 TRACER = Tracer()
+
+
+class Span:
+    """One open timed region, handed out by :func:`span` while observing.
+
+    ``traced`` says whether the region becomes a trace event; a typed
+    caller hands its event's fields to :meth:`attach` only when it is
+    (they are usually pretty-printed terms, too costly to build for
+    metrics alone).  ``duration`` holds the measured seconds once the
+    region has closed.
+    """
+
+    __slots__ = (
+        "name", "traced", "duration", "_event", "_detail", "_fields",
+        "_start", "_handle",
+    )
+
+    def __init__(self, name: str, event: Type[TraceEvent], detail: str) -> None:
+        self.name = name
+        self.traced = TRACER.enabled
+        self.duration = 0.0
+        self._event = event
+        self._detail = detail
+        self._fields: Optional[Dict[str, Any]] = None
+        self._handle: Optional[SpanHandle] = None
+
+    def attach(self, **fields: Any) -> None:
+        """Set the fields of the span's typed trace event."""
+        self._fields = fields
+
+    def __enter__(self) -> "Span":
+        self._start = time.perf_counter()
+        if self.traced:
+            self._handle = TRACER.begin(self._start)
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        self.duration = duration = time.perf_counter() - self._start
+        METRICS.observe(self.name, duration)
+        if self._handle is not None:
+            fields = self._fields
+            if fields is None:
+                fields = (
+                    {"name": self.name, "detail": self._detail}
+                    if self._event is PhaseEvent
+                    else {}
+                )
+            TRACER.end(self._handle, self._event, duration, **fields)
+        return False
+
+
+class _NullSpan:
+    """The shared do-nothing region :func:`span` returns while off."""
+
+    __slots__ = ()
+
+    traced = False
+    duration = 0.0
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        return False
+
+
+NULL_SPAN = _NullSpan()
+
+
+def span(name: str, event: Type[TraceEvent] = PhaseEvent, detail: str = ""):
+    """Time a block as region ``name``: the one timing instrument.
+
+    With metrics and tracing both off this returns :data:`NULL_SPAN`
+    (no allocation, no clock read).  Otherwise the clock is read once on
+    entry and once on exit; that one duration is observed into metric
+    ``name`` and, while tracing, closes the span's ``event`` — a
+    :class:`PhaseEvent` named ``name`` with ``detail`` unless a typed
+    event class is given, whose fields the caller attaches.
+    """
+    if not (METRICS.enabled or TRACER.enabled):
+        return NULL_SPAN
+    return Span(name, event, detail)
 
 
 def enable() -> None:

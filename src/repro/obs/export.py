@@ -6,12 +6,13 @@ version 0.0.4):
 
 * counters   → ``tlp_<name>_total`` with ``# TYPE ... counter``;
 * gauges     → ``tlp_<name>`` with ``# TYPE ... gauge``;
-* timers     → ``tlp_<name>_seconds`` summaries (``_count``/``_sum``)
-  plus ``_seconds_min``/``_seconds_max`` gauges (Prometheus summaries
-  have no native extrema);
 * histograms → ``tlp_<name>_seconds`` classic histograms: cumulative
   ``_bucket{le="..."}`` series over the fixed log2 grid, ending in
-  ``le="+Inf"``, plus ``_sum`` and ``_count``.
+  ``le="+Inf"``, plus ``_sum`` and ``_count``;
+* timers     → ``tlp_<name>_seconds_min``/``_seconds_max`` gauges only:
+  the ``timers`` section is a view of the histogram of the same name,
+  whose ``_sum``/``_count`` it would repeat, and Prometheus histograms
+  have no native extrema.
 
 Dotted metric names become underscore-separated (``subtype.holds`` →
 ``tlp_subtype_holds_seconds``); an optional label set is attached to
@@ -124,15 +125,8 @@ def render_prometheus(
 
     histograms = snapshot.get("histograms", {})
     for name, stat in snapshot.get("timers", {}).items():
-        # Timers and histograms record the same samples under the same
-        # name; when the histogram is present it carries _sum/_count
-        # itself, so the summary would collide — emit only the extrema
-        # the histogram lacks.
-        if name not in histograms:
-            metric = _metric_name(name, "_seconds")
-            lines.append(f"# TYPE {metric} summary")
-            lines.append(f"{metric}_count{label_block} {_fmt(stat['count'])}")
-            lines.append(f"{metric}_sum{label_block} {_fmt(stat['total_s'])}")
+        # Every timer is a view of the histogram of the same name, which
+        # carries _sum/_count itself — emit only the extrema it lacks.
         for bound_name, key in (("min", "min_s"), ("max", "max_s")):
             extremum = _metric_name(name, f"_seconds_{bound_name}")
             lines.append(f"# TYPE {extremum} gauge")

@@ -1,11 +1,12 @@
 """Fixed-log-bucket latency histograms: mergeable, order-independent.
 
-:class:`HistogramStat` is the distribution counterpart of
-:class:`~repro.obs.registry.TimerStat`.  Where a timer keeps the moments
-a mean needs (total, count, min, max), a histogram additionally counts
-observations into a **fixed geometric bucket grid** — powers of two from
-1µs up to ~33s — so p50/p90/p99 summaries survive aggregation across
-worker processes.
+:class:`HistogramStat` is the one store behind every timed region
+(:func:`repro.obs.span` feeds it through ``TelemetryRegistry.observe``).
+It keeps the moments a mean needs (total, count, min, max) — the
+registry's ``timers`` view is :meth:`HistogramStat.moments` — and
+counts observations into a **fixed geometric bucket grid** — powers of
+two from 1µs up to ~33s — so p50/p90/p99 summaries survive aggregation
+across worker processes.
 
 The grid being *fixed* (the same bounds in every process, every version)
 is what makes merging exact: folding two histograms adds bucket counts
@@ -99,6 +100,16 @@ class HistogramStat:
                 )
                 return min(max(upper, self.min_s), self.max_s)
         return self.max_s  # pragma: no cover - unreachable (seen == count)
+
+    def moments(self) -> Dict[str, float]:
+        """The timer view: total, count, min, max and mean (no buckets)."""
+        return {
+            "total_s": self.total_s,
+            "count": self.count,
+            "min_s": self.min_s if self.count else 0.0,
+            "max_s": self.max_s,
+            "mean_s": self.mean_s,
+        }
 
     def bucket_counts(self) -> List[int]:
         """A copy of the raw per-bucket counts (overflow bucket last)."""

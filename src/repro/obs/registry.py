@@ -1,4 +1,4 @@
-"""Process-wide telemetry registry: named counters, gauges, and timers.
+"""Process-wide telemetry registry: named counters, gauges, and timings.
 
 The registry is the metrics half of ``repro.obs`` (the trace-event half
 lives in :mod:`repro.obs.trace`).  It is designed around one invariant:
@@ -19,113 +19,22 @@ Naming convention: dotted lowercase paths, subsystem first —
 
 from __future__ import annotations
 
-import functools
 import threading
-import time
-from typing import Any, Callable, Dict, Optional, TypeVar
+from typing import Any, Dict, Optional
 
 from .histogram import HistogramStat
 
-__all__ = ["TimerStat", "HistogramStat", "TelemetryRegistry", "NULL_TIMER"]
-
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-
-class TimerStat:
-    """Accumulated timings for one named span: total, count, min, max."""
-
-    __slots__ = ("total_s", "count", "min_s", "max_s")
-
-    def __init__(self) -> None:
-        self.total_s = 0.0
-        self.count = 0
-        self.min_s = float("inf")
-        self.max_s = 0.0
-
-    def record(self, seconds: float) -> None:
-        self.total_s += seconds
-        self.count += 1
-        if seconds < self.min_s:
-            self.min_s = seconds
-        if seconds > self.max_s:
-            self.max_s = seconds
-
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "total_s": self.total_s,
-            "count": self.count,
-            "min_s": self.min_s if self.count else 0.0,
-            "max_s": self.max_s,
-            "mean_s": self.total_s / self.count if self.count else 0.0,
-        }
-
-    def merge(self, other: Dict[str, float]) -> None:
-        """Fold another timer's snapshot into this one (cross-registry).
-
-        Lossless for every field: counts and totals add, extrema combine.
-        A pre-min snapshot (no ``min_s`` key) merges its other fields and
-        leaves this side's minimum untouched.
-        """
-        self.total_s += other.get("total_s", 0.0)
-        other_count = int(other.get("count", 0))
-        self.count += other_count
-        other_min = other.get("min_s")
-        # An empty snapshot reports min_s == 0.0 as a placeholder; only a
-        # snapshot with samples may lower the minimum.
-        if other_count and other_min is not None and other_min < self.min_s:
-            self.min_s = other_min
-        other_max = other.get("max_s", 0.0)
-        if other_max > self.max_s:
-            self.max_s = other_max
-
-
-class _NullTimer:
-    """Reusable no-op context manager handed out while disabled.
-
-    A single module-level instance means ``registry.time(...)`` in a
-    disabled process performs no allocation at all.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-NULL_TIMER = _NullTimer()
-
-
-class _ActiveTimer:
-    """Context manager that records one monotonic-clock span."""
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: "TelemetryRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_ActiveTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self._registry.observe(self._name, time.perf_counter() - self._start)
-        return False
+__all__ = ["HistogramStat", "TelemetryRegistry"]
 
 
 class TelemetryRegistry:
-    """Thread-safe named counters, gauges, and timing spans."""
+    """Thread-safe named counters, gauges, and timing histograms."""
 
     def __init__(self) -> None:
         self.enabled = False
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
-        self._timers: Dict[str, TimerStat] = {}
         self._histograms: Dict[str, HistogramStat] = {}
 
     # -- lifecycle -----------------------------------------------------------
@@ -141,7 +50,6 @@ class TelemetryRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
             self._histograms.clear()
 
     # -- recording -----------------------------------------------------------
@@ -171,50 +79,19 @@ class TelemetryRegistry:
     def observe(self, name: str, seconds: float) -> None:
         """Record one timing observation (no-op while disabled).
 
-        Each observation feeds both views of the same sample under one
-        lock acquisition: the timer (total/count/min/max — what the mean
-        needs) and the fixed-log-bucket histogram (what p50/p90/p99
-        need).  Disabled, this returns before touching either.
+        The sample lands in the fixed-log-bucket histogram ``name``,
+        which keeps count, total, min and max alongside its buckets —
+        the ``timers`` view of :meth:`snapshot` is derived from those
+        moments.  Disabled, this returns before touching anything.
+        Timed regions reach here through :func:`repro.obs.span`.
         """
         if not self.enabled:
             return
         with self._lock:
-            stat = self._timers.get(name)
-            if stat is None:
-                stat = self._timers[name] = TimerStat()
-            stat.record(seconds)
             histogram = self._histograms.get(name)
             if histogram is None:
                 histogram = self._histograms[name] = HistogramStat()
             histogram.record(seconds)
-
-    def time(self, name: str):
-        """Context manager timing a block into timer ``name``.
-
-        Returns the shared null manager while disabled, so the call is
-        allocation-free on the fast path.
-        """
-        if not self.enabled:
-            return NULL_TIMER
-        return _ActiveTimer(self, name)
-
-    def timed(self, name: str) -> Callable[[_F], _F]:
-        """Decorator form of :meth:`time`."""
-
-        def decorate(function: _F) -> _F:
-            @functools.wraps(function)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                if not self.enabled:
-                    return function(*args, **kwargs)
-                start = time.perf_counter()
-                try:
-                    return function(*args, **kwargs)
-                finally:
-                    self.observe(name, time.perf_counter() - start)
-
-            return wrapper  # type: ignore[return-value]
-
-        return decorate
 
     def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
         """Fold a :meth:`snapshot` from another registry into this one.
@@ -223,9 +100,11 @@ class TelemetryRegistry:
         process-local registry and ship ``snapshot()`` dicts back to the
         coordinator, which merges them here: counters add, gauges keep the
         maximum (the useful aggregate for utilisation/high-water gauges),
-        and timers fold sample counts/totals/maxima together.  Merging the
-        same snapshot twice would double-count — callers merge each worker
-        snapshot exactly once.  No-op while disabled, like all recording.
+        and histograms fold bucket counts and moments together.  The
+        ``timers`` section is a view of the histograms and is not read.
+        Merging the same snapshot twice would double-count — callers
+        merge each worker snapshot exactly once.  No-op while disabled,
+        like all recording.
         """
         if not self.enabled:
             return
@@ -235,11 +114,6 @@ class TelemetryRegistry:
             for name, value in snapshot.get("gauges", {}).items():
                 if value > self._gauges.get(name, float("-inf")):
                     self._gauges[name] = value
-            for name, sample in snapshot.get("timers", {}).items():
-                stat = self._timers.get(name)
-                if stat is None:
-                    stat = self._timers[name] = TimerStat()
-                stat.merge(sample)
             for name, sample in snapshot.get("histograms", {}).items():
                 histogram = self._histograms.get(name)
                 if histogram is None:
@@ -257,9 +131,10 @@ class TelemetryRegistry:
             return self._gauges.get(name)
 
     def timer(self, name: str) -> Optional[Dict[str, float]]:
+        """The timer view of histogram ``name`` (total/count/min/max/mean)."""
         with self._lock:
-            stat = self._timers.get(name)
-            return stat.snapshot() if stat else None
+            stat = self._histograms.get(name)
+            return stat.moments() if stat else None
 
     def histogram(self, name: str) -> Optional[Dict[str, Any]]:
         with self._lock:
@@ -274,8 +149,8 @@ class TelemetryRegistry:
                 "counters": dict(sorted(self._counters.items())),
                 "gauges": dict(sorted(self._gauges.items())),
                 "timers": {
-                    name: stat.snapshot()
-                    for name, stat in sorted(self._timers.items())
+                    name: stat.moments()
+                    for name, stat in sorted(self._histograms.items())
                 },
                 "histograms": {
                     name: stat.snapshot()

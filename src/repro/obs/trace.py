@@ -1,23 +1,25 @@
 """Structured trace-event stream: tracer, span nesting, and sinks.
 
 The :class:`Tracer` hands out span ids from one process-wide sequence and
-keeps a per-thread stack of open spans, so events emitted while a span is
-open automatically carry its id as their ``parent_id`` — derivations
-nest without any plumbing in the instrumented code.
+keeps a stack of open spans per thread and per asyncio task (a context
+variable), so events emitted while a span is open automatically carry
+its id as their ``parent_id`` — derivations nest without any plumbing
+in the instrumented code.  Instrumented code opens spans through
+:func:`repro.obs.span`, which drives :meth:`Tracer.begin` and
+:meth:`Tracer.end`.
 
 Tracing is **on iff at least one sink is attached** (``tracer.enabled``
 is kept in sync by ``add_sink``/``remove_sink``).  Instrumented code
 guards emission with that flag, so an un-traced process pays one
 attribute check per potential event and allocates nothing.
 
-Three sinks cover the use cases:
+Two sinks cover the use cases:
 
 * :class:`MemorySink` — an in-memory list, for tests and programmatic
-  inspection;
+  inspection (:func:`render_tree` draws its events as an indented,
+  human-readable span forest);
 * :class:`JsonlSink` — one JSON object per line on any text stream
-  (``tlp-check --trace``, ``BENCH_*.json`` companions);
-* :class:`TreeSink` — collects events and renders the span forest as an
-  indented, human-readable tree.
+  (``tlp-check --trace``, ``BENCH_*.json`` companions).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, Dict, IO, List, Optional, Sequence, Type
+from contextvars import ContextVar
+from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Type
 
 from .events import PhaseEvent, TraceEvent
 
@@ -33,7 +36,6 @@ __all__ = [
     "TraceSink",
     "MemorySink",
     "JsonlSink",
-    "TreeSink",
     "SpanHandle",
     "Tracer",
     "render_tree",
@@ -112,19 +114,6 @@ class JsonlSink(TraceSink):
             self.stream.close()
 
 
-class TreeSink(TraceSink):
-    """Collects events and renders them as an indented span tree."""
-
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-
-    def emit(self, event: TraceEvent) -> None:
-        self.events.append(event)
-
-    def render(self) -> str:
-        return render_tree(self.events)
-
-
 class SpanHandle:
     """An open span: identity plus its start time."""
 
@@ -136,52 +125,14 @@ class SpanHandle:
         self.start = start
 
 
-class _NullSpan:
-    """Shared no-op context manager for ``span()`` while disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _ActiveSpan:
-    """Context manager that opens a span and emits a PhaseEvent on exit."""
-
-    __slots__ = ("_tracer", "_name", "_detail", "_handle")
-
-    def __init__(self, tracer: "Tracer", name: str, detail: str) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._detail = detail
-        self._handle: Optional[SpanHandle] = None
-
-    def __enter__(self) -> SpanHandle:
-        self._handle = self._tracer.begin()
-        return self._handle
-
-    def __exit__(self, *exc: object) -> bool:
-        assert self._handle is not None
-        self._tracer.end(
-            self._handle, PhaseEvent, name=self._name, detail=self._detail
-        )
-        return False
-
-
 class Tracer:
-    """Span-id allocation, per-thread nesting, and fan-out to sinks."""
+    """Span-id allocation, per-thread and per-task nesting, sink fan-out."""
 
     def __init__(self) -> None:
         self.enabled = False
         self._sinks: List[TraceSink] = []
         self._lock = threading.Lock()
-        self._tls = threading.local()
+        self._open: ContextVar[Tuple[int, ...]] = ContextVar("open_spans", default=())
         self._next_id = 0
         self._epoch = time.perf_counter()
         self.emitted = 0
@@ -226,15 +177,9 @@ class Tracer:
             self._next_id = 0
             self._epoch = time.perf_counter()
             self.emitted = 0
-        self._tls = threading.local()
+        self._open = ContextVar("open_spans", default=())
 
     # -- span bookkeeping -----------------------------------------------------
-
-    def _stack(self) -> List[int]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
 
     def _allocate_id(self) -> int:
         with self._lock:
@@ -247,32 +192,48 @@ class Tracer:
         return time.perf_counter() - self._epoch
 
     def current_span(self) -> Optional[int]:
-        stack = self._stack()
+        stack = self._open.get()
         return stack[-1] if stack else None
 
-    def begin(self) -> SpanHandle:
-        """Open a span: allocate an id and push it on this thread's stack."""
-        handle = SpanHandle(self._allocate_id(), self.current_span(), self.now())
-        self._stack().append(handle.span_id)
+    def begin(self, clock: Optional[float] = None) -> SpanHandle:
+        """Open a span: allocate an id and push it on the open-span stack.
+
+        ``clock`` is a ``time.perf_counter()`` reading the caller already
+        took for the span's start (default: read it now).
+        """
+        if clock is None:
+            clock = time.perf_counter()
+        stack = self._open.get()
+        handle = SpanHandle(
+            self._allocate_id(),
+            stack[-1] if stack else None,
+            clock - self._epoch,
+        )
+        self._open.set(stack + (handle.span_id,))
         return handle
 
     def end(
         self,
         handle: SpanHandle,
         event_class: Type[TraceEvent] = PhaseEvent,
+        dur: Optional[float] = None,
         **fields: Any,
     ) -> Optional[TraceEvent]:
-        """Close a span and emit its event (with duration)."""
-        stack = self._stack()
+        """Close a span and emit its event.
+
+        ``dur`` is the span's measured length (default: now minus its
+        start on the tracer's clock).
+        """
+        stack = self._open.get()
         if stack and stack[-1] == handle.span_id:
-            stack.pop()
+            self._open.set(stack[:-1])
         elif handle.span_id in stack:  # tolerate mismatched nesting
-            stack.remove(handle.span_id)
+            self._open.set(tuple(i for i in stack if i != handle.span_id))
         event = event_class(
             span_id=handle.span_id,
             parent_id=handle.parent_id,
             ts=handle.start,
-            dur=self.now() - handle.start,
+            dur=self.now() - handle.start if dur is None else dur,
             **fields,
         )
         self._emit(event)
@@ -289,15 +250,6 @@ class Tracer:
         )
         self._emit(event)
         return event
-
-    def span(self, name: str, detail: str = ""):
-        """Context manager: a named ``phase`` span around a block.
-
-        Returns a shared no-op manager while disabled (no allocation).
-        """
-        if not self.enabled:
-            return _NULL_SPAN
-        return _ActiveSpan(self, name, detail)
 
     # -- emission -------------------------------------------------------------
 

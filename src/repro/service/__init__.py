@@ -25,39 +25,9 @@ grows it from a one-shot CLI into a service that checks *corpora* of
   their shared subtype-engine memo tables — hot across requests.
 
 Console entry points: ``tlp-batch`` (one batch run over a corpus) and
-``tlp-serve`` (the daemon).  ``tlp-check`` gains ``--jobs``/
-``--cache-dir`` flags that route through the same runner.
+``tlp-serve`` (the daemon).
+
+The package root re-exports nothing: importing one submodule (say
+``repro.service.project`` from ``tlp-check``) must not load the runner,
+the analyzer and the process pool along with it.
 """
-
-from __future__ import annotations
-
-from .cache import CHECKER_VERSION, CachedResult, ResultCache
-from .project import (
-    EMPTY_DECLS_DIGEST,
-    Project,
-    ProjectError,
-    ProjectFile,
-    discover_tlp_files,
-    fingerprint,
-    load_project,
-)
-from .report import build_run_report, write_run_report
-from .runner import BatchReport, FileResult, run_batch
-
-__all__ = [
-    "build_run_report",
-    "write_run_report",
-    "CHECKER_VERSION",
-    "CachedResult",
-    "ResultCache",
-    "EMPTY_DECLS_DIGEST",
-    "Project",
-    "ProjectError",
-    "ProjectFile",
-    "discover_tlp_files",
-    "fingerprint",
-    "load_project",
-    "BatchReport",
-    "FileResult",
-    "run_batch",
-]

@@ -33,7 +33,6 @@ import argparse
 import asyncio
 import contextlib
 import sys
-import time
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +42,7 @@ from ...analysis import lint_text
 from ...checker.diagnostics import DEFAULT_CODE, Diagnostic, Severity
 from ...checker.frontend import check_text
 from ...lang.ast import Position
+from ... import obs
 from ...obs import METRICS
 from .protocol import (
     INTERNAL_ERROR,
@@ -160,49 +160,48 @@ class LspServer:
         method = message.get("method")
         request_id = message.get("id")
         params = message.get("params") or {}
-        started = time.perf_counter()
-        try:
-            if method == "initialize":
-                await self._respond(request_id, self._initialize_result())
-                self.initialized = True
-            elif method == "initialized":
-                pass
-            elif method == "shutdown":
-                self.shutdown_requested = True
-                await self._respond(request_id, None)
-            elif method == "exit":
-                self._exit_code = 0 if self.shutdown_requested else 1
-            elif method == "textDocument/didOpen":
-                await self._did_open(params)
-            elif method == "textDocument/didChange":
-                await self._did_change(params)
-            elif method == "textDocument/didClose":
-                await self._did_close(params)
-            elif method == "textDocument/codeAction":
-                actions = await self._code_actions(params)
-                await self._respond(request_id, actions)
-            elif method == "$/cancelRequest":
-                pass  # every request here is fast; nothing to cancel
-            elif request_id is not None:
-                await self.stream.write(
-                    jsonrpc_error(
-                        request_id,
-                        METHOD_NOT_FOUND,
-                        f"method not supported: {method}",
-                    )
-                )
-            # else: unknown notification — ignored, per the spec
-        except Exception as error:  # a bug must not kill the session
-            if request_id is not None:
-                with contextlib.suppress(Exception):
+        with obs.span("service.lsp.request"):
+            try:
+                if method == "initialize":
+                    await self._respond(request_id, self._initialize_result())
+                    self.initialized = True
+                elif method == "initialized":
+                    pass
+                elif method == "shutdown":
+                    self.shutdown_requested = True
+                    await self._respond(request_id, None)
+                elif method == "exit":
+                    self._exit_code = 0 if self.shutdown_requested else 1
+                elif method == "textDocument/didOpen":
+                    await self._did_open(params)
+                elif method == "textDocument/didChange":
+                    await self._did_change(params)
+                elif method == "textDocument/didClose":
+                    await self._did_close(params)
+                elif method == "textDocument/codeAction":
+                    actions = await self._code_actions(params)
+                    await self._respond(request_id, actions)
+                elif method == "$/cancelRequest":
+                    pass  # every request here is fast; nothing to cancel
+                elif request_id is not None:
                     await self.stream.write(
                         jsonrpc_error(
-                            request_id, INTERNAL_ERROR, f"internal error: {error}"
+                            request_id,
+                            METHOD_NOT_FOUND,
+                            f"method not supported: {method}",
                         )
                     )
+                # else: unknown notification — ignored, per the spec
+            except Exception as error:  # a bug must not kill the session
+                if request_id is not None:
+                    with contextlib.suppress(Exception):
+                        await self.stream.write(
+                            jsonrpc_error(
+                                request_id, INTERNAL_ERROR, f"internal error: {error}"
+                            )
+                        )
         if METRICS.enabled and method:
             METRICS.inc(f"service.lsp.{method.replace('/', '.')}")
-            METRICS.observe("service.lsp.request", time.perf_counter() - started)
 
     async def _respond(self, request_id: Any, result: Any) -> None:
         if request_id is not None:

@@ -199,7 +199,6 @@ class _Client:
     async def _process(self, request: Dict[str, Any], token: CancelToken) -> None:
         op = request.get("op")
         request_id = request.get("id")
-        started = time.perf_counter()
         if op == "shutdown":
             response: Dict[str, Any] = {"ok": True, "op": "shutdown", "bye": True}
             if request_id is not None:
@@ -208,30 +207,31 @@ class _Client:
             await self.send(response)
             self.server.request_shutdown()
             return
-        if token.cancelled:
-            response = {
-                "ok": False,
-                "op": op,
-                "cancelled": True,
-                "error": "request cancelled before it started",
-            }
-        else:
-            loop = asyncio.get_running_loop()
-            if op in _LOCAL_OPS:
-                response = await loop.run_in_executor(
-                    self.server.executor, self.server.handle_local, request
-                )
+        with obs.span("service.aserver.request") as region:
+            if token.cancelled:
+                response = {
+                    "ok": False,
+                    "op": op,
+                    "cancelled": True,
+                    "error": "request cancelled before it started",
+                }
             else:
-                response = await loop.run_in_executor(
-                    self.server.executor,
-                    self.server.service.handle,
-                    request,
-                    token,
-                )
-        if request_id is not None:
-            response.setdefault("id", request_id)
-            self.inflight.pop(request_id, None)
-        self.server.observe_request(op, started, self, response)
+                loop = asyncio.get_running_loop()
+                if op in _LOCAL_OPS:
+                    response = await loop.run_in_executor(
+                        self.server.executor, self.server.handle_local, request
+                    )
+                else:
+                    response = await loop.run_in_executor(
+                        self.server.executor,
+                        self.server.service.handle,
+                        request,
+                        token,
+                    )
+            if request_id is not None:
+                response.setdefault("id", request_id)
+                self.inflight.pop(request_id, None)
+        self.server.observe_request(op, region.duration, self, response)
         with contextlib.suppress(ConnectionError, OSError):
             await self.send(response)
 
@@ -465,16 +465,17 @@ class AsyncCheckServer:
     def observe_request(
         self,
         op: Any,
-        started: float,
+        duration: float,
         client: _Client,
         response: Dict[str, Any],
     ) -> None:
+        """Count one answered request; ``duration`` is its span's length,
+        already observed as ``service.aserver.request`` and mirrored here
+        into the requesting client's own timer."""
         if not METRICS.enabled:
             return
-        duration = time.perf_counter() - started
         METRICS.inc("service.aserver.requests")
         METRICS.inc(f"service.aserver.op.{op}")
-        METRICS.observe("service.aserver.request", duration)
         METRICS.observe(
             f"service.aserver.client.c{client.index}.request", duration
         )

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...obs import METRICS
+from ...obs import METRICS, span
 from ..cache import ResultCache
 from ..project import MANIFEST_NAME, Project, load_project
 from ..runner import BatchReport, FileResult, run_batch
@@ -213,7 +213,7 @@ class Workspace:
         change set from digests, so a spurious event costs one cache-hit
         sweep and a missed event cannot leave a stale verdict.
         """
-        with self._lock:
+        with self._lock, span("service.aserver.recheck"):
             started = time.perf_counter()
             old_digests = {
                 member.display: member.digest for member in self.project.files
@@ -259,7 +259,6 @@ class Workspace:
             if METRICS.enabled:
                 METRICS.inc("service.aserver.rechecks")
                 METRICS.inc("service.aserver.recheck.files", len(checked))
-                METRICS.observe("service.aserver.recheck", report.wall_s)
             return report
 
 

@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..obs import METRICS, TRACER, CacheProbeEvent
+from ..obs import METRICS, TRACER, CacheProbeEvent, span
 
 __all__ = ["CHECKER_VERSION", "CachedResult", "ResultCache"]
 
@@ -330,25 +330,20 @@ class ResultCache:
         self, file_digest: str, decls_digest: str
     ) -> Optional[CachedResult]:
         """Probe for a verdict; hit/miss is counted, timed, and traced."""
-        observed = METRICS.enabled
-        started = time.perf_counter() if observed else 0.0
-        payload = self._entries.get(
-            self.key(file_digest, decls_digest, self.ruleset, self.infer)
-        )
+        # Probe latency distribution (p50/p99 via the histogram view):
+        # in-memory today, but a remote store behind this cache would
+        # make it the metric that catches the store regressing.
+        with span("service.cache.probe"):
+            payload = self._entries.get(
+                self.key(file_digest, decls_digest, self.ruleset, self.infer)
+            )
         hit = payload is not None
         if hit:
             self.hits += 1
         else:
             self.misses += 1
-        if observed:
+        if METRICS.enabled:
             METRICS.inc("service.cache.hits" if hit else "service.cache.misses")
-            # Probe latency distribution (p50/p99 via the histogram view):
-            # in-memory today, but the ROADMAP's cache-server direction
-            # makes this the metric that will catch a remote store
-            # regressing.
-            METRICS.observe(
-                "service.cache.probe", time.perf_counter() - started
-            )
         if TRACER.enabled:
             TRACER.point(CacheProbeEvent, cache="service.results", hit=hit)
         if not hit:

@@ -171,12 +171,12 @@ def _check_job(
     snapshot for the coordinator to merge.  Thread workers never ship —
     they share the coordinator's registry directly.
 
-    Each stage is observed per file (``service.file.check`` /
-    ``service.file.lint`` / ``service.file.infer`` latency histograms)
-    and the whole job runs under a ``check_file`` span whose detail is
-    the display path — inline and thread runs attribute time to files
-    in ``--profile`` output; process workers detached their sinks, so
-    the span guard keeps it free there.
+    Each stage runs in its own span (``service.file.check`` /
+    ``service.file.lint`` / ``service.file.infer``) inside a
+    ``check_file`` span whose detail is the display path — inline and
+    thread runs attribute time to files in ``--profile`` output; process
+    workers detached their sinks, so there the spans only feed the
+    shipped histograms.
 
     ``lint`` (a picklable :class:`~repro.analysis.registry.LintConfig`)
     turns the analyzer on; findings travel home rendered, same as the
@@ -189,33 +189,23 @@ def _check_job(
         obs.TRACER.clear_sinks()
         METRICS.reset()
         METRICS.enabled = True
-    observed = METRICS.enabled
-    with obs.TRACER.span("check_file", display):
+    with obs.span("check_file", detail=display):
         start = time.perf_counter()
-        ok, diagnostics, clauses, queries = check_one_text(text)
-        if observed:
-            METRICS.observe("service.file.check", time.perf_counter() - start)
+        with obs.span("service.file.check"):
+            ok, diagnostics, clauses, queries = check_one_text(text)
         lint_lines: Tuple[str, ...] = ()
         if lint is not None:
-            lint_start = time.perf_counter()
-            report = lint_text(text, config=lint)
+            with obs.span("service.file.lint"):
+                report = lint_text(text, config=lint)
             lint_lines = tuple(str(finding) for finding in report.diagnostics)
-            if observed:
-                METRICS.observe(
-                    "service.file.lint", time.perf_counter() - lint_start
-                )
         inferred_lines: Tuple[str, ...] = ()
         if infer:
             from ..analysis.absint import infer_text
 
-            infer_start = time.perf_counter()
-            inference = infer_text(text)
+            with obs.span("service.file.infer"):
+                inference = infer_text(text)
             if inference is not None:
                 inferred_lines = tuple(inference.declaration_lines())
-            if observed:
-                METRICS.observe(
-                    "service.file.infer", time.perf_counter() - infer_start
-                )
         duration = time.perf_counter() - start
     if ship_telemetry:
         snapshot = METRICS.snapshot()
@@ -281,7 +271,7 @@ def run_batch(
     # Phase 1: cache probes (coordinator only — workers never touch disk).
     placeholders: List[Optional[FileResult]] = []
     misses: List[Tuple[int, ProjectFile]] = []
-    with obs.TRACER.span("batch.probe", project.name):
+    with obs.span("batch.probe", detail=project.name):
         for index, member in enumerate(project.files):
             cached = None
             if cache is not None and not force:
@@ -330,7 +320,7 @@ def run_batch(
         )
 
     fresh: List[Tuple[int, FileResult, Optional[Dict[str, Any]]]] = []
-    with obs.TRACER.span("batch.check", project.name):
+    with obs.span("batch.check", detail=project.name):
         if misses:
             job_list = [
                 (
@@ -363,7 +353,7 @@ def run_batch(
 
     # Phase 3: record — verdicts into the cache, telemetry into obs.
     busy = 0.0
-    with obs.TRACER.span("batch.record", project.name):
+    with obs.span("batch.record", detail=project.name):
         for index, result, snapshot in fresh:
             busy += result.duration_s
             placeholders[index] = result

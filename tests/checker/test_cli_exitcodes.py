@@ -217,3 +217,26 @@ def test_typed_run_takes_precedence_over_run(write):
     result = tlp_check("--typed-run", "--run", path)
     assert result.returncode == 1
     assert "TLP590" in result.stdout
+
+
+def test_single_file_check_loads_no_batch_machinery():
+    """A one-file ``tlp-check`` imports ``repro.service.project`` to expand
+    its operands; that must not drag in the batch runner, the analyzer
+    or the process pool (the package root re-exports nothing)."""
+    heavy = ("repro.service.runner", "repro.analysis", "concurrent.futures.process")
+    code = (
+        "import sys\n"
+        "from repro.checker.cli import main\n"
+        f"assert main([{ARITHMETIC!r}]) == 0\n"
+        f"print([name for name in {heavy!r} if name in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1] == "[]"

@@ -89,8 +89,8 @@ def test_trace_event_kinds_and_nesting():
     assert {"subtype_goal", "match_call", "sld_step", "resolvent_check", "phase"} <= kinds
     by_id = {event.span_id for event in sink.events}
     assert len(by_id) == len(sink.events)  # every event a fresh span id
-    # SLD steps of the typed query nest under its typed_query phase.
-    phases = [e for e in sink.events if e.kind == "phase" and e.name == "typed_query"]
+    # SLD steps of the typed query nest under its typed.query phase.
+    phases = [e for e in sink.events if e.kind == "phase" and e.name == "typed.query"]
     assert phases
     steps = [e for e in sink.events if e.kind == "sld_step"]
     assert steps
@@ -140,3 +140,25 @@ def test_summary_round_trips_through_json():
         run_pipeline()
     data = json.loads(json.dumps(obs.summary()))
     assert data["counters"]["subtype.goals"] > 0
+
+
+def test_one_span_feeds_both_metrics_and_trace(tmp_path, capsys):
+    """Every timed region is one span: a former timer-only region now
+    shows up in the trace, and a former trace-only one in the timers."""
+    with obs.collect() as (metrics, sink):
+        check_text(APPEND_QUERY_SOURCE)
+    [source_phase] = [
+        e for e in sink.events
+        if e.kind == "phase" and e.name == "checker.check_source"
+    ]
+    assert source_phase.dur == metrics.timer("checker.check_source")["total_s"]
+    parse_phases = [e for e in sink.events if getattr(e, "name", "") == "checker.parse"]
+    assert len(parse_phases) == 1
+
+    from repro.checker.cli import main
+
+    path = tmp_path / "append.tlp"
+    path.write_text(APPEND_QUERY_SOURCE)
+    assert main([str(path), "--stats"]) == 0
+    assert "check_file" in capsys.readouterr().out
+    assert obs.METRICS.timer("check_file")["count"] == 1

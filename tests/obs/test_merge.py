@@ -3,7 +3,6 @@
 import threading
 
 from repro.obs import TelemetryRegistry
-from repro.obs.registry import TimerStat
 
 
 def observed(seed):
@@ -52,24 +51,29 @@ def test_merge_tolerates_partial_snapshots():
     assert main.counter("only") == 1
 
 
-def test_timerstat_merge_keeps_max_and_counts():
-    stat = TimerStat()
-    stat.record(0.1)
-    stat.merge({"total_s": 0.9, "count": 3, "max_s": 0.7, "min_s": 0.05})
-    snapshot = stat.snapshot()
-    assert snapshot["count"] == 4
-    assert abs(snapshot["total_s"] - 1.0) < 1e-9
-    assert snapshot["max_s"] == 0.7
-    assert snapshot["min_s"] == 0.05
+def test_timer_view_merge_keeps_extrema_and_counts():
+    """The ``timers`` view is derived from the histograms; merging a
+    worker snapshot keeps every one of its fields lossless."""
+    main = TelemetryRegistry()
+    main.enable()
+    main.observe("span", 0.1)
+    worker = TelemetryRegistry()
+    worker.enable()
+    for seconds in (0.05, 0.15, 0.7):
+        worker.observe("span", seconds)
+    main.merge_snapshot(worker.snapshot())
+    merged = main.timer("span")
+    assert merged == main.snapshot()["timers"]["span"]
+    assert merged["count"] == 4
+    assert abs(merged["total_s"] - 1.0) < 1e-9
+    assert abs(merged["mean_s"] - 0.25) < 1e-9
+    assert merged["max_s"] == 0.7
+    assert merged["min_s"] == 0.05
 
 
 def test_merging_an_empty_snapshot_does_not_clobber_min():
     """An idle worker ships min_s=0.0; folding it in must not drag the
     coordinator's real minimum down to zero."""
-    stat = TimerStat()
-    stat.record(0.3)
-    stat.merge(TimerStat().snapshot())
-    assert stat.snapshot()["min_s"] == 0.3
     main = TelemetryRegistry()
     main.enable()
     main.observe("span", 0.3)

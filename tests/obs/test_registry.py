@@ -2,8 +2,8 @@
 
 import threading
 
-from repro.obs import METRICS, TelemetryRegistry
-from repro.obs.registry import NULL_TIMER, TimerStat
+from repro import obs
+from repro.obs import METRICS, NULL_SPAN, HistogramStat, TelemetryRegistry
 
 
 def fresh():
@@ -40,10 +40,11 @@ def test_gauge_set_and_max():
 
 
 def test_timer_stat_accumulates():
-    stat = TimerStat()
-    stat.record(0.5)
-    stat.record(1.5)
-    snap = stat.snapshot()
+    registry = fresh()
+    registry.observe("t", 0.5)
+    registry.observe("t", 1.5)
+    snap = registry.timer("t")
+    assert snap == registry.snapshot()["timers"]["t"]
     assert snap["count"] == 2
     assert snap["total_s"] == 2.0
     assert snap["min_s"] == 0.5
@@ -52,7 +53,10 @@ def test_timer_stat_accumulates():
 
 
 def test_empty_timer_reports_zero_min():
-    assert TimerStat().snapshot()["min_s"] == 0.0
+    assert HistogramStat().moments()["min_s"] == 0.0
+    registry = fresh()
+    registry.merge_snapshot({"histograms": {"t": HistogramStat().snapshot()}})
+    assert registry.timer("t")["min_s"] == 0.0
 
 
 def test_observe_feeds_timer_and_histogram():
@@ -78,39 +82,11 @@ def test_snapshot_and_reset_cover_histograms():
     assert registry.snapshot()["histograms"] == {}
 
 
-def test_time_context_manager_records():
-    registry = fresh()
-    with registry.time("t"):
-        pass
-    with registry.time("t"):
-        pass
-    snap = registry.timer("t")
-    assert snap is not None
-    assert snap["count"] == 2
-    assert snap["total_s"] >= 0.0
-
-
-def test_timed_decorator():
-    registry = fresh()
-
-    @registry.timed("f")
-    def f(x):
-        return x + 1
-
-    assert f(1) == 2
-    assert f(2) == 3
-    assert registry.timer("f")["count"] == 2
-    registry.disable()
-    assert f(3) == 4  # still works, just unrecorded
-    assert registry.timer("f")["count"] == 2
-
-
 def test_reset_zeroes_but_keeps_enabled():
     registry = fresh()
     registry.inc("a")
     registry.gauge("g", 1)
-    with registry.time("t"):
-        pass
+    registry.observe("t", 0.001)
     registry.reset()
     assert registry.enabled
     assert registry.counter("a") == 0
@@ -134,13 +110,14 @@ def test_disabled_records_nothing():
 
 
 def test_disabled_time_is_the_shared_null_singleton():
-    registry = TelemetryRegistry()
+    assert not METRICS.enabled
     # Allocation-free fast path: the very same object every call.
-    assert registry.time("x") is NULL_TIMER
-    assert registry.time("y") is NULL_TIMER
-    with registry.time("x"):
+    assert obs.span("x") is NULL_SPAN
+    assert obs.span("y") is NULL_SPAN
+    with obs.span("x"):
         pass
-    assert registry.snapshot()["timers"] == {}
+    assert METRICS.snapshot()["timers"] == {}
+    assert METRICS.snapshot()["histograms"] == {}
 
 
 def test_process_registry_disabled_by_default():
@@ -164,8 +141,7 @@ def test_render_mentions_every_metric():
     registry = fresh()
     registry.inc("subtype.goals", 3)
     registry.gauge("sld.max_depth_reached", 7)
-    with registry.time("match.match"):
-        pass
+    registry.observe("match.match", 0.001)
     table = registry.render()
     assert "subtype.goals" in table
     assert "sld.max_depth_reached" in table

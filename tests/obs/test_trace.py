@@ -8,12 +8,12 @@ from repro.obs import (
     CacheProbeEvent,
     JsonlSink,
     MemorySink,
+    NULL_SPAN,
     PhaseEvent,
     SubtypeGoalEvent,
     Tracer,
     render_tree,
 )
-from repro.obs.trace import _NULL_SPAN
 
 
 def fresh_tracer():
@@ -60,9 +60,9 @@ def test_span_nesting_via_parent_ids():
 
 
 def test_span_context_manager_nests():
-    tracer, sink = fresh_tracer()
-    with tracer.span("outer"):
-        with tracer.span("inner", detail="d"):
+    sink = obs.trace_to_memory()
+    with obs.span("outer"):
+        with obs.span("inner", detail="d"):
             pass
     inner, outer = sink.events  # inner closes first
     assert inner.name == "inner" and inner.detail == "d"
@@ -90,12 +90,17 @@ def test_enabled_tracks_sinks():
 
 
 def test_disabled_span_is_shared_null_manager():
-    tracer = Tracer()
-    assert tracer.span("x") is _NULL_SPAN
-    assert tracer.span("y") is _NULL_SPAN
-    with tracer.span("x"):
+    assert not obs.TRACER.enabled
+    assert obs.span("x") is NULL_SPAN
+    assert obs.span("y") is NULL_SPAN
+    with obs.span("x"):
         pass
-    assert tracer.emitted == 0
+    # Metrics alone still time the region but never reach the tracer.
+    obs.enable()
+    with obs.span("x") as region:
+        pass
+    assert region is not NULL_SPAN and not region.traced
+    assert obs.TRACER.emitted == 0
 
 
 def test_reset_restarts_ids():
@@ -140,9 +145,9 @@ def test_jsonl_round_trip():
 
 
 def test_render_tree_indents_children():
-    tracer, sink = fresh_tracer()
-    with tracer.span("root"):
-        tracer.point(PhaseEvent, name="child")
+    sink = obs.trace_to_memory()
+    with obs.span("root"):
+        obs.TRACER.point(PhaseEvent, name="child")
     text = render_tree(sink.events)
     lines = text.splitlines()
     assert lines[0].startswith("phase name=root")
@@ -150,11 +155,11 @@ def test_render_tree_indents_children():
 
 
 def test_render_tree_promotes_orphans():
-    tracer, sink = fresh_tracer()
-    with tracer.span("invisible") as handle:
-        tracer.point(PhaseEvent, name="orphan")
+    sink = obs.trace_to_memory()
+    with obs.span("invisible"):
+        obs.TRACER.point(PhaseEvent, name="orphan")
         # Drop the closing event by detaching before the span ends.
-        tracer.remove_sink(sink)
+        obs.TRACER.remove_sink(sink)
     text = render_tree(sink.events)
     assert text.splitlines()[0].startswith("phase name=orphan")
 
@@ -166,7 +171,7 @@ def test_trace_file_survives_a_raising_operation(tmp_path):
     trace_path = tmp_path / "crash.jsonl"
     sink = obs.trace_to_path(str(trace_path))
     try:
-        with obs.TRACER.span("doomed"):
+        with obs.span("doomed"):
             obs.TRACER.point(PhaseEvent, name="before-crash")
             raise RuntimeError("boom")
     except RuntimeError:
